@@ -16,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.distance import ed2_batch
+from repro.core.distance import check_series, ed2_batch
 
 
 def ucr_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
@@ -26,9 +26,13 @@ def ucr_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
 
     ``X``: (N, n) z-normalized data; ``queries``: (Q, n) z-normalized.
     Returns, per query, ``[(distance, id), ...]`` ascending (ties by id).
+    Raises ``ValueError`` for non-finite rows or queries, or queries
+    whose length differs from the rows'.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    check_series(X, "series")
+    check_series(queries, "query", X.shape[1])
     ids = np.arange(len(X), dtype=np.int64) if ids is None else np.asarray(ids)
     n = X.shape[1]
     kk = min(k, len(X))

@@ -1,14 +1,13 @@
-"""Euclidean distance kernels.
-
-Three tiers, mirroring the paper's engines:
+"""Euclidean distance kernels and the input check every engine shares.
 
 - ``ed2`` / ``ed``: scalar reference (tests, small paths).
-- ``ed2_early_abandon``: UCR-style early-abandoning squared ED — stop as
-  soon as the running sum exceeds the best-so-far (BSF). Used by the
-  tree's survivor verification and the UCR-Suite-P baseline.
 - ``ed2_batch``: exact batch squared ED via the GEMM identity
-  ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` — the FAISS IndexFlatL2
-  analog, and the fast path when a whole leaf survives LBD filtering.
+  ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b``. It is the FAISS IndexFlatL2
+  analog, the tree's survivor verification, and the UCR scan's
+  block-granular early abandoning (a partial ED over a prefix, then the
+  rest for survivors).
+- ``check_series``: rejects non-finite or wrong-length input, which would
+  otherwise turn into NaN distances and invented neighbours.
 """
 import numpy as np
 
@@ -22,25 +21,6 @@ def ed2(a: np.ndarray, b: np.ndarray) -> float:
 def ed(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two series of equal length."""
     return float(np.sqrt(ed2(a, b)))
-
-
-def ed2_early_abandon(a: np.ndarray, b: np.ndarray, bsf2: float, chunk: int = 32) -> float:
-    """Squared ED with early abandoning against a squared BSF.
-
-    Accumulates in ``chunk``-sized blocks (the SIMD-register-width analog
-    of Algorithm 3's chunking) and returns the partial sum as soon as it
-    exceeds ``bsf2``. A returned value ``> bsf2`` therefore only certifies
-    "worse than BSF", not the exact distance.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    total = 0.0
-    for i in range(0, len(a), chunk):
-        d = a[i : i + chunk] - b[i : i + chunk]
-        total += float(np.dot(d, d))
-        if total > bsf2:
-            return total
-    return total
 
 
 def ed2_batch(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -57,3 +37,12 @@ def ed2_batch(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     d2 = qq + xx - 2.0 * (q @ x.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def check_series(x: np.ndarray, what: str, length: int | None = None) -> None:
+    """Raise ``ValueError`` unless every value of the (N, n) batch ``x`` is
+    finite and, when ``length`` is given, ``n == length``."""
+    if length is not None and x.shape[1] != length:
+        raise ValueError(f"{what} length {x.shape[1]} != series length {length}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} values must be finite (found NaN or inf)")

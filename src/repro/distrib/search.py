@@ -31,6 +31,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.flat_l2 import flat_knn
 from repro.baselines.ucr_scan import ucr_knn
+from repro.core.distance import check_series
 from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
@@ -119,7 +120,8 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     identically, as in the paper's single learned transformation
     (Figure 5). ``cache_token`` enables the warm fast path (see module
     docstring); it must uniquely identify (dataset, partitioning,
-    method parameters).
+    method parameters). Raises ``ValueError`` for a non-finite query, or
+    one whose length differs from the summary's series length.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -127,6 +129,7 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
         raise ValueError("method='sofa' requires a pre-fit SFA summary "
                          "(use repro.distrib.mcb.fit_sfa_spark)")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    check_series(queries, "query", summary.n if summary is not None else None)
     local = _local_results(df, queries, k, method, summary, leaf_size, l,
                            alphabet, cache_token)
     w = Window.partitionBy("query_id").orderBy(F.col("dist").asc(),

@@ -1,7 +1,8 @@
-"""MESSI-style symbolic tree indexes for exact similarity search.
+"""Symbolic leaf indexes for exact similarity search.
 
-``tree.TreeIndex`` is generic over a ``SymbolicSummary``; ``messi`` and
-``sofa`` instantiate it with iSAX and SFA respectively.
+``tree.TreeIndex`` (a flat z-order leaf layout) is generic over a
+``SymbolicSummary``; ``messi`` and ``sofa`` instantiate it with iSAX and
+SFA respectively.
 """
 from repro.index.tree import TreeIndex, SearchStats
 from repro.index.messi import build_messi

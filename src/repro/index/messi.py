@@ -1,4 +1,4 @@
-"""MESSI baseline = MESSI-style tree + iSAX summarization (paper IV-A..D).
+"""MESSI baseline = z-order leaf index + iSAX summarization (paper IV-A..D).
 
 Paper defaults: word length 16, alphabet 256, leaf size 20000 (we scale
 leaf size down with dataset size; see DESIGN.md).

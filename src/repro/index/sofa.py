@@ -1,4 +1,4 @@
-"""SOFA = MESSI-style tree + SFA summarization (paper Section IV-G).
+"""SOFA = z-order leaf index + SFA summarization (paper Section IV-G).
 
 Workflow (paper Figure 5): sample a fraction (default 1 %) of the
 collection, learn the SFA quantization via MCB (variance-selected

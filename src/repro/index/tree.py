@@ -1,34 +1,32 @@
-"""Generic MESSI-style tree index over a symbolic summary (Section IV-A/B/C).
+"""Flat z-order leaf index over a symbolic summary (Section IV-A/B/C).
 
-Structure (paper Section IV-B):
+Layout (one build path for SOFA, MESSI and every Spark partition):
 
-- **Root**: fans out on the 1-bit-per-position prefix word (up to 2^l
-  children; materialized lazily in a dict).
-- **Inner nodes**: exactly two children, produced by promoting one
-  position's cardinality by one bit; the node's (symbols, bits) pair is
-  the variable-cardinality word covering its whole subtree.
-- **Leaves**: row indices into the in-memory series matrix plus the
-  (uint8, full-cardinality) words of those rows.
+- rows are sorted by the **z-order key** of their word: the symbol bits
+  interleaved MSB-first, bit-plane by bit-plane, so the first ``l`` bits
+  are MESSI's 1-bit root key and each further plane refines every
+  position by one bit, the order a split-by-cardinality tree would
+  reach;
+- the sorted order is cut into runs of ``leaf_size`` rows, so every leaf
+  but the last is full (bottom-up full-leaf build, as in Coconut);
+- each leaf stores the per-position min/max **symbol box** of its rows
+  as interval edges ``leaf_lo``/``leaf_hi``. The box contains every
+  member's symbol interval, so its LBD is a lower bound for every series
+  in the leaf, the property GEMINI's leaf pruning needs.
 
-Exact search (Section IV-C, GEMINI): approximate descent to seed the
-best-so-far (BSF), then a priority queue of leaves ordered by
-node-level lower-bound distance; leaves are drained until the queue
-head's LBD exceeds the BSF, each drained leaf is LBD-filtered per
-series with the batched branchless kernel, and survivors are verified
-with real Euclidean distances, tightening the BSF as they go.
+Exact search (Section IV-C, GEMINI): the leaf-box LBDs of all leaves are
+computed in one vectorized pass and sorted; the leaf with the smallest
+LBD seeds the best-so-far (BSF), then leaves are drained in that order
+until the head's LBD reaches the BSF. Each drained batch is LBD-filtered
+per series with the branchless kernel, and survivors are verified with
+real Euclidean distances, tightening the BSF as they go.
 
-Two deliberate adaptations of MESSI's C implementation to vectorized
-NumPy (documented in DESIGN.md):
-
-- the node-level LBDs of *all* leaves are computed in one vectorized
-  pass over precomputed leaf interval boxes (MESSI computes them per
-  node while walking subtrees in parallel workers);
-- the priority queue is drained in *chunks* of ~2048 series (batch
-  ``DeleteMin``): the BSF updates between chunks rather than between
-  single leaves. Both keep GEMINI exactness — a leaf is only skipped
-  when its LBD (a true lower bound for every series in it) is >= the
-  current BSF — while replacing per-leaf Python overhead with wide
-  NumPy kernels, the same role SIMD plays in the paper.
+The queue is drained in *chunks* of ``_CHUNK_ROWS`` series (batch
+``DeleteMin``): the BSF updates between chunks rather than between
+single leaves. Exactness holds for any chunk size, since a leaf is only
+skipped when its LBD is >= the current BSF; the chunks replace per-leaf
+Python overhead with wide NumPy kernels, the role SIMD plays in the
+paper.
 
 The paper's multi-threaded index workers map to Spark partitions in
 this repo (each partition owns an independent TreeIndex; see
@@ -41,9 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distance import ed2_batch
+from repro.core.distance import check_series, ed2_batch
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
+
+# Series per batch DeleteMin; any value yields the same exact result.
+_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -62,36 +63,33 @@ class SearchStats:
         return 1.0 - self.series_ed_computed / max(1, self.n_series)
 
 
-class _Node:
-    __slots__ = ("symbols", "bits", "rows", "words", "children", "split_pos",
-                 "count", "leaf_id")
+def _zorder(words: np.ndarray, word_bits: int) -> np.ndarray:
+    """Row order of ``words`` (N, l) by their z-order key, ties by row.
 
-    def __init__(self, symbols, bits):
-        self.symbols = symbols  # (l,) int64, values in [0, 2^bits[j])
-        self.bits = bits        # (l,) int64
-        self.rows = None        # leaf: (m,) int64 row ids into X
-        self.words = None       # leaf: (m, l) uint8 full-cardinality words
-        self.children = None    # inner: [child0, child1] on split bit 0/1
-        self.split_pos = None
-        self.count = 0          # series in this subtree
-        self.leaf_id = -1       # index into the flat leaf arrays
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+    The key's bit ``p * l + j`` is bit ``word_bits - 1 - p`` of symbol
+    ``j``; keys are packed big-endian into uint64 columns for lexsort.
+    """
+    shifts = np.arange(word_bits - 1, -1, -1, dtype=np.uint8)
+    planes = (words[:, None, :] >> shifts[:, None]) & 1  # (N, bits, l)
+    packed = np.packbits(planes.reshape(len(words), word_bits * words.shape[1]), axis=1)
+    pad = -packed.shape[1] % 8
+    packed = np.pad(packed, ((0, 0), (0, pad)))
+    keys = packed.view(">u8")  # (N, ceil(bits*l/64))
+    return np.lexsort(keys.T[::-1])
 
 
 class TreeIndex:
     """In-memory exact-search index over z-normalized series ``X``.
 
     ``ids`` are the external identifiers returned from queries (defaults
-    to 0..N-1); the MESSI/SOFA leaf-capacity parameter is ``leaf_size``.
+    to 0..N-1); ``leaf_size`` is the number of series per leaf.
     """
 
     def __init__(self, summary: SymbolicSummary, X: np.ndarray,
                  ids: np.ndarray | None = None, leaf_size: int = 128):
         self.summary = summary
         self.X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float32)
+        check_series(self.X, "series")
         n_rows = self.X.shape[0]
         self.ids = np.arange(n_rows, dtype=np.int64) if ids is None \
             else np.asarray(ids, dtype=np.int64)
@@ -100,148 +98,41 @@ class TreeIndex:
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         self.leaf_size = leaf_size
-        # word_bits = log2(alphabet): symbols are words at THIS cardinality,
-        # so every shift in the tree is relative to it, not to a fixed 8.
-        self.word_bits = summary.bits
-        self.words = summary.words(self.X)  # (N, l) uint8
-        self.root: dict[tuple, _Node] = {}
-        self._bulk_build()
-        self._finalize()
+        words = summary.words(self.X)  # (N, l) uint8
+        self.perm = _zorder(words, summary.bits)
+        self.words_perm = words[self.perm]
+        self.leaf_start = np.append(np.arange(0, n_rows, leaf_size), n_rows)
+        starts = self.leaf_start[:-1]
+        lo = np.minimum.reduceat(self.words_perm, starts).astype(np.int64)
+        hi = np.maximum.reduceat(self.words_perm, starts).astype(np.int64)
+        cols = np.arange(summary.l)
+        self.leaf_lo = summary.edges[cols, lo]
+        self.leaf_hi = summary.edges[cols, hi + 1]
 
-    # ---------------------------------------------------------------- build
-    def _bulk_build(self) -> None:
-        l = self.summary.l
-        if self.X.shape[0] == 0:
-            return
-        first_bits = (self.words >> (self.word_bits - 1)).astype(np.int64)  # (N, l)
-        # group rows by root key (the 1-bit prefix word), like MESSI's
-        # initial chunk pass
-        keys, inverse = np.unique(first_bits, axis=0, return_inverse=True)
-        for gi in range(len(keys)):
-            rows = np.nonzero(inverse == gi)[0].astype(np.int64)
-            node = _Node(symbols=keys[gi].copy(), bits=np.ones(l, dtype=np.int64))
-            node.rows = rows
-            node.words = self.words[rows]
-            node.count = len(rows)
-            self._split_if_needed(node)
-            self.root[tuple(keys[gi])] = node
-
-    def _split_if_needed(self, node: _Node) -> None:
-        if len(node.rows) <= self.leaf_size:
-            return
-        pos = self._choose_split_pos(node)
-        if pos is None:  # every position at max cardinality: oversized leaf
-            return
-        shift = self.word_bits - (node.bits[pos] + 1)
-        bit = (node.words[:, pos].astype(np.int64) >> shift) & 1
-        node.split_pos = pos
-        node.children = []
-        for b in (0, 1):
-            sym = node.symbols.copy()
-            bits = node.bits.copy()
-            sym[pos] = (sym[pos] << 1) | b
-            bits[pos] += 1
-            child = _Node(symbols=sym, bits=bits)
-            mask = bit == b
-            child.rows = node.rows[mask]
-            child.words = node.words[mask]
-            child.count = int(mask.sum())
-            node.children.append(child)
-        node.rows = None
-        node.words = None
-        for child in node.children:
-            if child.count:
-                self._split_if_needed(child)
-
-    def _choose_split_pos(self, node: _Node) -> int | None:
-        """Pick the position whose next bit splits the node most evenly
-        (iSAX2.0-style balanced split; paper Section IV-B)."""
-        candidates = np.nonzero(node.bits < self.word_bits)[0]
-        if len(candidates) == 0:
-            return None
-        shifts = self.word_bits - (node.bits[candidates] + 1)
-        bits = (node.words[:, candidates].astype(np.int64) >> shifts[None, :]) & 1
-        ones = bits.sum(axis=0)
-        imbalance = np.abs(2 * ones - len(node.rows))
-        return int(candidates[int(np.argmin(imbalance))])
-
-    def _finalize(self) -> None:
-        """Flatten non-empty leaves into contiguous arrays for vectorized
-        search: interval boxes (node-level LBD operands), a permutation of
-        row ids grouped by leaf, and the permuted word matrix."""
-        l, wb = self.summary.l, self.word_bits
-        leaves: list[_Node] = []
-        stack = list(self.root.values())
-        while stack:
-            nd = stack.pop()
-            if nd.is_leaf:
-                if nd.count:
-                    nd.leaf_id = len(leaves)
-                    leaves.append(nd)
-            else:
-                stack.extend(nd.children)
-        self.leaves = leaves
-        L = len(leaves)
-        self.leaf_lo = np.empty((L, l))
-        self.leaf_hi = np.empty((L, l))
-        self.leaf_start = np.zeros(L + 1, dtype=np.int64)
-        perm_parts = []
-        cols = np.arange(l)
-        for i, nd in enumerate(leaves):
-            shift = wb - nd.bits
-            self.leaf_lo[i] = self.summary.edges[cols, nd.symbols << shift]
-            self.leaf_hi[i] = self.summary.edges[cols, (nd.symbols + 1) << shift]
-            self.leaf_start[i + 1] = self.leaf_start[i] + nd.count
-            perm_parts.append(nd.rows)
-        self.perm = (np.concatenate(perm_parts) if perm_parts
-                     else np.zeros(0, dtype=np.int64))
-        self.words_perm = self.words[self.perm]
-        # root-key matrix for the vectorized nearest-prefix fallback
-        self._root_list = list(self.root.values())
-        self._root_keys = (np.array([nd.symbols for nd in self._root_list],
-                                    dtype=np.int64)
-                           if self._root_list else np.zeros((0, l), np.int64))
-
-    # ---------------------------------------------------------------- stats
     def structure_stats(self) -> dict:
-        """Tree-shape statistics (paper Figure 8): depth, leaf fill, fanout."""
-        depths, fills = [], []
-        stack = [(nd, 1) for nd in self.root.values()]
-        while stack:
-            nd, d = stack.pop()
-            if nd.is_leaf:
-                if nd.count == 0:
-                    continue
-                depths.append(d)
-                fills.append(nd.count / self.leaf_size)
-            else:
-                stack.extend((c, d + 1) for c in nd.children)
+        """Leaf-shape statistics (paper Figure 8): leaf count and fill."""
+        sizes = np.diff(self.leaf_start)
         return {
-            "root_fanout": len(self.root),
-            "n_leaves": len(self.leaves),
-            "mean_depth": float(np.mean(depths)) if depths else 0.0,
-            "mean_leaf_fill": float(np.mean(fills)) if fills else 0.0,
+            "n_leaves": len(sizes),
+            "mean_leaf_fill": float(sizes.mean()) / self.leaf_size if len(sizes) else 0.0,
         }
 
-    # --------------------------------------------------------------- search
     def knn(self, q: np.ndarray, k: int = 1,
-            stats: SearchStats | None = None,
-            chunk_rows: int = 2048) -> list[tuple[float, int]]:
+            stats: SearchStats | None = None) -> list[tuple[float, int]]:
         """Exact k nearest neighbors of z-normalized query ``q``.
 
         Returns ``[(distance, id), ...]`` ascending, ties broken by id.
-        ``chunk_rows`` is the batch-DeleteMin granularity (see module
-        docstring); any value yields the same exact result.
+        Raises ``ValueError`` for a non-finite or wrong-length query.
         """
-        if self.X.shape[0] == 0:
-            return []
-        k = min(k, self.X.shape[0])
-        st = stats if stats is not None else SearchStats()
-        st.n_series = self.X.shape[0]
-        st.n_leaves = len(self.leaves)
         q = np.ascontiguousarray(q, dtype=np.float64).ravel()
+        check_series(q[None, :], "query", self.X.shape[1])
+        n_rows, n_leaves = self.X.shape[0], len(self.leaf_start) - 1
+        if n_rows == 0:
+            return []
+        k = min(k, n_rows)
+        st = stats if stats is not None else SearchStats()
+        st.n_series, st.n_leaves = n_rows, n_leaves
         qvals = self.summary.approx(q[None, :])[0]
-        qword = self.summary.words_from_approx(qvals[None, :])[0]
         edges, weights = self.summary.edges, self.summary.weights
 
         # heap of (-d2, -id) so the worst of the current k is on top
@@ -273,59 +164,30 @@ class TreeIndex:
                 offer(float(d2s[j]), int(self.ids[self.perm[surv[j]]]))
                 b = bsf2()
 
-        # 1) approximate search: descend toward the query's own word to
-        #    seed the BSF with real distances from the most similar leaf
-        seed = self._descend(qword)
-        seed_id = -1
-        if seed is not None and seed.count:
-            seed_id = seed.leaf_id
-            st.leaves_visited += 1
-            process(np.arange(self.leaf_start[seed_id],
-                              self.leaf_start[seed_id + 1]))
+        def rows(lid: int) -> np.ndarray:
+            return np.arange(self.leaf_start[lid], self.leaf_start[lid + 1])
 
-        # 2) node-level LBD of every leaf in one vectorized pass — the
-        #    priority-queue ordering of MESSI, materialized at once
+        # leaf-box LBD of every leaf in one vectorized pass: the priority
+        # queue of MESSI, materialized at once
         leaf_d2 = batch_interval_mindist2(qvals, self.leaf_lo, self.leaf_hi,
                                           weights)
         order = np.argsort(leaf_d2, kind="stable")
 
-        # 3) drain the queue in chunks; stop when the head can't beat BSF
-        i, L = 0, len(order)
-        while i < L:
-            if leaf_d2[order[i]] >= bsf2():
-                break
+        # the most promising leaf seeds the BSF with real distances
+        st.leaves_visited += 1
+        process(rows(int(order[0])))
+
+        # drain the queue in chunks; stop when the head can't beat the BSF
+        i = 1
+        while i < n_leaves and leaf_d2[order[i]] < bsf2():
             chunk: list[np.ndarray] = []
             rows_acc = 0
-            while i < L and rows_acc < chunk_rows and leaf_d2[order[i]] < bsf2():
-                lid = int(order[i])
+            while i < n_leaves and rows_acc < _CHUNK_ROWS \
+                    and leaf_d2[order[i]] < bsf2():
+                chunk.append(rows(int(order[i])))
+                rows_acc += len(chunk[-1])
                 i += 1
-                if lid == seed_id:
-                    continue
-                st.leaves_visited += 1
-                chunk.append(np.arange(self.leaf_start[lid],
-                                       self.leaf_start[lid + 1]))
-                rows_acc += self.leaf_start[lid + 1] - self.leaf_start[lid]
-            if chunk:
-                process(np.concatenate(chunk))
+            st.leaves_visited += len(chunk)
+            process(np.concatenate(chunk))
 
         return sorted((float(np.sqrt(max(0.0, -nd2))), -nid) for nd2, nid in best)
-
-    def _descend(self, qword: np.ndarray) -> _Node | None:
-        """Follow the query's word to the most similar leaf (approximate
-        search step); falls back to the nearest root child if the exact
-        1-bit prefix is absent."""
-        key = tuple((qword >> (self.word_bits - 1)).astype(np.int64))
-        node = self.root.get(key)
-        if node is None:
-            if not self.root:
-                return None
-            # nearest root child by Hamming distance on the 1-bit prefix
-            # (one vectorized pass over the root-key matrix)
-            ham = (self._root_keys != np.asarray(key)[None, :]).sum(axis=1)
-            node = self._root_list[int(np.argmin(ham))]
-        while not node.is_leaf:
-            shift = self.word_bits - node.children[0].bits[node.split_pos]
-            bit = (int(qword[node.split_pos]) >> shift) & 1
-            nxt = node.children[bit]
-            node = nxt if nxt.count else node.children[1 - bit]
-        return node

@@ -9,8 +9,8 @@ approx value with per-position ``edges``.
 ``edges[:, -1] = +inf``; symbol ``a`` at position ``j`` denotes the
 half-open interval ``[edges[j, a], edges[j, a+1])``. Because coarser
 cardinalities merge *adjacent* bins, the boundary set at cardinality
-``2^b`` is a subset of the one at ``2^(b+1)`` — the hierarchical
-property the MESSI-style tree's split-by-cardinality relies on.
+``2^b`` is a subset of the one at ``2^(b+1)``: the hierarchical
+property iSAX's variable-cardinality words assume.
 
 ``weights[j]`` is the position's multiplier in the squared lower bound
 (segment length for PAA/iSAX; 2, or 1 at Nyquist, for DFT/SFA).
@@ -18,8 +18,6 @@ property the MESSI-style tree's split-by-cardinality relies on.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-WORD_BITS = 8  # alphabet up to 256, one byte per symbol (paper Section IV-D)
 
 
 @dataclass

@@ -14,8 +14,6 @@ lower bounds; callers compare against squared BSF.
 """
 import numpy as np
 
-from repro.summaries.common import WORD_BITS
-
 
 def mindist2_ref(qvals, word, edges, weights) -> float:
     """Scalar reference of Eq. 2 with explicit branches — the ground truth
@@ -58,61 +56,13 @@ def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
     return np.einsum("ij,j->i", d * d, np.asarray(weights, dtype=np.float64))
 
 
-def mindist2_early_abandon(qvals, word, edges, weights, bsf2: float,
-                           chunk: int = 8) -> float:
-    """Per-series squared LBD with chunked early abandoning (Algorithm 3).
-
-    Processes positions in ``chunk``-wide blocks (the 256-bit register
-    analog); positions are assumed ordered by decreasing variance, so
-    high-contribution components come first. A return value ``> bsf2``
-    certifies only "prunable", like the SIMD routine in the paper.
-    """
-    word = np.asarray(word)
-    q = np.asarray(qvals, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    total = 0.0
-    for i in range(0, len(word), chunk):
-        sl = slice(i, i + chunk)
-        ww = word[sl].astype(np.int64)
-        rows = np.arange(i, min(i + chunk, len(word)))
-        lo = edges[rows, ww]
-        hi = edges[rows, ww + 1]
-        qq = q[sl]
-        d = np.where(qq < lo, lo - qq, 0.0) + np.where(qq > hi, qq - hi, 0.0)
-        total += float(np.dot(w[sl] * d, d))
-        if total > bsf2:
-            return total
-    return total
-
-
 def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:
     """Squared LBD between one query and ``R`` interval boxes at once.
 
     ``lo``/``hi``: (R, l) lower/upper breakpoints (+-inf allowed). Used by
-    the tree to prune ALL root subtrees in one vectorized pass instead of
-    R scalar calls — the SIMD analog at the node level.
+    the index to bound ALL leaf boxes in one vectorized pass instead of
+    R scalar calls — the SIMD analog at the leaf level.
     """
     q = np.asarray(qvals, dtype=np.float64)[None, :]
     d = np.where(q < lo, lo - q, 0.0) + np.where(q > hi, q - hi, 0.0)
     return np.einsum("ij,j->i", d * d, np.asarray(weights, dtype=np.float64))
-
-
-def node_mindist2(qvals, symbols, bits, edges, weights,
-                  word_bits: int = WORD_BITS) -> float:
-    """Squared LBD between a query and a *tree node* at reduced cardinality.
-
-    ``symbols[j]`` is the node's symbol at position ``j`` expressed with
-    ``bits[j]`` bits (cardinality ``2^bits[j]``); its interval at the full
-    alphabet is ``[edges[j, s << shift], edges[j, (s+1) << shift])``.
-    ``bits[j] == 0`` means "any symbol" — the whole real line, distance 0.
-    Hierarchical edges make this a lower bound on every leaf mindist in
-    the subtree, which makes GEMINI's subtree pruning sound.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    bits = np.asarray(bits, dtype=np.int64)
-    shift = word_bits - bits
-    lo = edges[np.arange(len(symbols)), symbols << shift]
-    hi = edges[np.arange(len(symbols)), (symbols + 1) << shift]
-    q = np.asarray(qvals, dtype=np.float64)
-    d = np.where(q < lo, lo - q, 0.0) + np.where(q > hi, q - hi, 0.0)
-    return float(np.dot(np.asarray(weights, dtype=np.float64) * d, d))

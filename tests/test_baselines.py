@@ -58,3 +58,17 @@ def test_single_query_single_series():
     for engine in (ucr_knn, flat_knn):
         res = engine(X, X, k=1)
         assert res[0][0][1] == 0
+
+
+@pytest.mark.parametrize("engine", [ucr_knn, flat_knn])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_exact_ties_follow_brute_force_order(engine, k):
+    """Duplicate rows tie exactly; the k-th place goes to the smaller id."""
+    g = np.random.default_rng(0)
+    X = np.repeat(g.integers(-2, 3, (40, 32)), 5, axis=0).astype(np.float32)
+    res = engine(X, X, k=k)
+    for qi, q in enumerate(X):
+        exp = brute_knn(X, q, k)
+        assert [i for _, i in res[qi]] == [i for _, i in exp]
+        np.testing.assert_allclose([d for d, _ in res[qi]],
+                                   [d for d, _ in exp], atol=1e-6)

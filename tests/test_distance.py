@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import ed, ed2, ed2_batch, ed2_early_abandon
+from repro.core.distance import ed, ed2, ed2_batch
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -21,24 +21,6 @@ def test_ed_is_sqrt_of_ed2():
 def test_identical_series_distance_zero():
     a = np.arange(20.0)
     assert ed2(a, a) == 0.0
-
-
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("chunk", [1, 7, 32, 1000])
-def test_early_abandon_exact_when_not_abandoned(seed, chunk):
-    g = np.random.default_rng(seed)
-    a, b = g.standard_normal(120), g.standard_normal(120)
-    assert ed2_early_abandon(a, b, np.inf, chunk=chunk) == pytest.approx(ed2(a, b))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_early_abandon_certifies_worse_than_bsf(seed):
-    g = np.random.default_rng(seed)
-    a, b = g.standard_normal(120), g.standard_normal(120)
-    true = ed2(a, b)
-    got = ed2_early_abandon(a, b, true / 4, chunk=8)
-    assert got > true / 4  # certified prunable
-    assert got <= true + 1e-9  # partial sum never exceeds the true distance
 
 
 @pytest.mark.parametrize("q,n,length", [(1, 1, 8), (3, 5, 16), (10, 40, 64),

@@ -145,6 +145,17 @@ def test_exact_knn_rejects_unknown_method(df, data):
         exact_knn(df, Q, method="faiss-gpu")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_exact_knn_rejects_bad_query(df, data, summary, bad):
+    Q = data[1].copy()
+    if bad == "short":
+        Q = Q[:, 1:]
+    else:
+        Q[1, 5] = float(bad)
+    with pytest.raises(ValueError):
+        exact_knn(df, Q, summary=summary, method="sofa")
+
+
 def test_exact_knn_with_cache_token_is_stable(spark, df, data, summary):
     X, Q = data
     a = exact_knn(df, Q, k=1, method="sofa", summary=summary, leaf_size=32,

@@ -36,7 +36,7 @@ def test_breakpoints_classic_alphabet4():
 @pytest.mark.parametrize("coarse", [2, 4, 8, 16, 32, 64, 128])
 def test_breakpoints_hierarchical(coarse):
     """Coarse breakpoints are a subset of the 256-symbol ones — the
-    property the tree's split-by-cardinality relies on."""
+    property iSAX's variable-cardinality words rely on."""
     fine = sax_breakpoints(256)
     sub = fine[np.arange(1, coarse) * (256 // coarse) - 1]
     np.testing.assert_allclose(sub, sax_breakpoints(coarse), atol=1e-9)

@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
+from repro.index import build_sofa
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import (batch_interval_mindist2, batch_mindist2,
-                                  mindist2_early_abandon, mindist2_ref,
-                                  node_mindist2)
+                                  mindist2_ref)
 from tests.helpers import znormed
 
 
@@ -29,36 +29,6 @@ def test_batch_equals_scalar_reference(kind, seed):
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["sax", "sfa"])
-@pytest.mark.parametrize("chunk", [1, 3, 8, 100])
-def test_early_abandon_exact_without_bsf(kind, chunk):
-    s = _summary(kind)
-    X = znormed(10, 64, seed=3)
-    q = znormed(1, 64, seed=4)[0]
-    qv = s.approx(q[None, :])[0]
-    W = s.words(X)
-    for i in range(10):
-        full = mindist2_ref(qv, W[i], s.edges, s.weights)
-        assert mindist2_early_abandon(qv, W[i], s.edges, s.weights, np.inf,
-                                      chunk=chunk) == pytest.approx(full)
-
-
-def test_early_abandon_certifies_prunable():
-    s = _summary("sfa", seed=7)
-    X = znormed(10, 64, seed=8)
-    q = znormed(1, 64, seed=9)[0] * 3  # far query -> large mindist
-    qv = s.approx(q[None, :])[0]
-    W = s.words(X)
-    for i in range(10):
-        full = mindist2_ref(qv, W[i], s.edges, s.weights)
-        if full == 0:
-            continue
-        got = mindist2_early_abandon(qv, W[i], s.edges, s.weights, full / 8,
-                                     chunk=2)
-        assert got > full / 8
-        assert got <= full + 1e-12  # partial sums never overshoot
-
-
 def test_boundary_symbols_no_nan():
     """Symbols 0 and alphabet-1 have +-inf edges; the mask-blend must not
     produce NaN from inf*0."""
@@ -69,53 +39,18 @@ def test_boundary_symbols_no_nan():
     assert np.isfinite(got).all()
 
 
-def test_interval_batch_matches_node_mindist():
-    s = _summary("sfa", seed=11, alphabet=256)
-    g = np.random.default_rng(12)
-    q = znormed(1, 64, seed=13)[0]
-    qv = s.approx(q[None, :])[0]
-    rows = []
-    los, his = [], []
-    for _ in range(30):
-        bits = g.integers(0, 9, 8)
-        syms = np.array([g.integers(0, 2 ** b) if b else 0 for b in bits])
-        rows.append(node_mindist2(qv, syms, bits, s.edges, s.weights,
-                                  word_bits=8))
-        cols = np.arange(8)
-        shift = 8 - bits
-        los.append(s.edges[cols, syms << shift])
-        his.append(s.edges[cols, (syms + 1) << shift])
-    got = batch_interval_mindist2(qv, np.array(los), np.array(his), s.weights)
-    np.testing.assert_allclose(got, rows, atol=1e-12)
-
-
-def test_node_mindist_zero_bits_is_zero():
-    s = _summary("sax")
-    q = znormed(1, 64, seed=14)[0]
-    qv = s.approx(q[None, :])[0]
-    d = node_mindist2(qv, np.zeros(8, np.int64), np.zeros(8, np.int64),
-                      s.edges, s.weights, word_bits=6)
-    assert d == 0.0
-
-
-@pytest.mark.parametrize("kind", ["sax", "sfa"])
-def test_node_mindist_decreases_with_coarser_bits(kind):
-    """A node's mindist at fewer bits is <= at more bits (wider interval):
-    subtree pruning soundness."""
-    s = _summary(kind, alphabet=256)
-    X = znormed(20, 64, seed=15)
-    q = znormed(1, 64, seed=16)[0]
-    qv = s.approx(q[None, :])[0]
-    W = s.words(X).astype(np.int64)
-    for i in range(20):
-        prev = None
-        for bits in range(8, 0, -1):
-            syms = W[i] >> (8 - bits)
-            d = node_mindist2(qv, syms, np.full(8, bits), s.edges, s.weights,
-                              word_bits=8)
-            if prev is not None:
-                assert d <= prev + 1e-12
-            prev = d
+def test_interval_batch_matches_mindist_ref():
+    """The batched box kernel equals the scalar reference run on each
+    leaf box as a one-symbol alphabet ``[lo, hi)``."""
+    X = znormed(200, 64, seed=11)
+    for leaf_size in (1, 7, 64):
+        idx = build_sofa(X, l=8, alphabet=256, leaf_size=leaf_size)
+        s = idx.summary
+        qv = s.approx(znormed(1, 64, seed=13))[0]
+        got = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.weights)
+        ref = [mindist2_ref(qv, np.zeros(8, np.int64), np.stack([lo, hi], axis=1),
+                            s.weights) for lo, hi in zip(idx.leaf_lo, idx.leaf_hi)]
+        np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
 def test_empty_batch():

@@ -1,22 +1,24 @@
-"""Smoke tests for the provided TPC-H-lite scaffolding and its data-series
-extensions, wired through the DuckDB oracle."""
+"""Smoke tests for the data-series entry points, wired through the
+DuckDB oracle."""
 import numpy as np
+from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
-def test_lineitem_oracle_aggregation(spark):
-    """Keeps the provided oracle + TPC-H path alive: a Spark aggregation
-    over lineitem must match DuckDB on identical input."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").sum("l_quantity") \
-        .withColumnRenamed("sum(l_quantity)", "total_qty")
+def test_data_series_oracle_aggregation(spark):
+    """A Spark aggregation over a data-series collection must match
+    DuckDB on identical input: per-id count and mean."""
+    long = synth_data.data_series(spark, name="Iquique", scale=0.02,
+                                  num_partitions=2) \
+        .select("id", F.explode("series").alias("v"))
+    got = long.groupBy("id").agg(F.count("v").alias("n"),
+                                 F.avg("v").alias("mean_v"))
     assert_equivalent(
         got,
-        "SELECT l_returnflag, SUM(l_quantity) AS total_qty "
-        "FROM lineitem GROUP BY l_returnflag",
-        lineitem=li,
+        "SELECT id, COUNT(v) AS n, AVG(v) AS mean_v FROM long GROUP BY id",
+        long=long,
     )
 
 

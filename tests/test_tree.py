@@ -1,4 +1,4 @@
-"""Tests for the MESSI-style tree: build invariants and exact search."""
+"""Tests for the z-order leaf index: build invariants and exact search."""
 import numpy as np
 import pytest
 
@@ -6,11 +6,14 @@ from repro.core.znorm import znormalize
 from repro.datasets.generators import seismic, sine_mix, vector_gaussian
 from repro.datasets.registry import make_dataset, make_queries
 from repro.index import build_messi, build_sofa
+from repro.index import tree
 from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
+from repro.summaries.simd import batch_interval_mindist2, mindist2_ref
 from tests.helpers import brute_knn, znormed
 
 BUILDERS = [("sofa", build_sofa), ("messi", build_messi)]
+LEAF_SIZES = [1, 7, 16, 64, 1000]
 
 
 def _gen(kind, n_series, length, seed):
@@ -33,45 +36,72 @@ def test_all_series_in_exactly_one_leaf(name, builder, leaf_size):
     assert idx.leaf_start[-1] == 200
 
 
-@pytest.mark.parametrize("name,builder", BUILDERS)
-def test_leaf_capacity_respected(name, builder):
+@pytest.mark.parametrize("name,build", BUILDERS)
+def test_leaf_capacity_respected(name, build):
+    """Bottom-up full leaves: every leaf but the last holds ``leaf_size``."""
     X = znormed(500, 64, seed=2)
-    idx = builder(X, leaf_size=16)
-    sizes = np.diff(idx.leaf_start)
-    # leaves may only exceed capacity when every position is at max bits
-    for nd, size in zip(idx.leaves, sizes):
-        if size > 16:
-            assert (nd.bits == idx.word_bits).all()
+    for leaf_size in LEAF_SIZES:
+        sizes = np.diff(build(X, leaf_size=leaf_size).leaf_start)
+        assert (sizes[:-1] == leaf_size).all()
+        assert 1 <= sizes[-1] <= leaf_size
 
 
 def test_leaf_words_match_leaf_symbols():
-    """Every series in a leaf agrees with the leaf's variable-cardinality
-    word on all positions (prefix property)."""
+    """Every word lies inside its leaf's symbol box, edge by edge."""
     X = znormed(300, 64, seed=3)
-    idx = build_messi(X, leaf_size=8)
-    for nd in idx.leaves:
-        prefix = idx.words[nd.rows].astype(np.int64) >> \
-            (idx.word_bits - nd.bits)[None, :]
-        assert (prefix == nd.symbols[None, :]).all()
+    for _, build in BUILDERS:
+        for leaf_size in LEAF_SIZES:
+            idx = build(X, leaf_size=leaf_size)
+            edges, cols = idx.summary.edges, np.arange(idx.summary.l)
+            w = idx.words_perm.astype(np.int64)
+            leaf = np.repeat(np.arange(len(idx.leaf_lo)), np.diff(idx.leaf_start))
+            assert (idx.leaf_lo[leaf] <= edges[cols, w]).all()
+            assert (edges[cols, w + 1] <= idx.leaf_hi[leaf]).all()
+
+
+@pytest.mark.parametrize("name,build", BUILDERS)
+@pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+def test_leaf_box_lbd_bounds_member_words(name, build, leaf_size):
+    """GEMINI soundness: a leaf's box LBD never exceeds the LBD of any
+    word in it, so skipping the leaf never skips a closer series."""
+    X = znormed(300, 64, seed=8)
+    idx = build(X, leaf_size=leaf_size)
+    s = idx.summary
+    for q in znormed(3, 64, seed=9):
+        qv = s.approx(q[None, :])[0]
+        box = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.weights)
+        for lid in range(len(box)):
+            for w in idx.words_perm[idx.leaf_start[lid]:idx.leaf_start[lid + 1]]:
+                assert box[lid] <= mindist2_ref(qv, w, s.edges, s.weights) * (1 + 1e-12)
 
 
 def test_root_keys_are_first_bits():
-    X = znormed(100, 64, seed=4)
-    idx = build_sofa(X, leaf_size=32)
-    for key, nd in idx.root.items():
-        assert (np.asarray(key) == nd.symbols).all()  # 1-bit prefix word
-        assert (np.asarray(key) < 2).all()
-        assert (nd.bits == 1).all()
+    """Rows are in z-order: symbol bits interleaved MSB-first, one bit
+    plane at a time, so the first ``l`` bits are the 1-bit root key."""
+    X = znormed(300, 64, seed=4)
+    for _, build in BUILDERS:
+        idx = build(X, leaf_size=32)
+        wb, l = idx.summary.bits, idx.summary.l
+        keys = []
+        for word in idx.words_perm.astype(int):
+            bits = [(word[j] >> (wb - 1 - p)) & 1 for p in range(wb) for j in range(l)]
+            keys.append(int("".join(map(str, bits)), 2))
+            root_key = int("".join(str(sym >> (wb - 1)) for sym in word), 2)
+            assert keys[-1] >> (wb - 1) * l == root_key
+        assert keys == sorted(keys)
+        ties = [i for i in range(1, len(keys)) if keys[i] == keys[i - 1]]
+        assert all(idx.perm[i - 1] < idx.perm[i] for i in ties)
 
 
 def test_structure_stats_consistent():
     X = znormed(400, 64, seed=5)
-    idx = build_messi(X, leaf_size=16)
-    st = idx.structure_stats()
-    assert st["n_leaves"] == len(idx.leaves)
-    assert st["root_fanout"] == len(idx.root)
-    assert st["mean_depth"] >= 1.0
-    assert 0 < st["mean_leaf_fill"] <= 500 / 16
+    for _, build in BUILDERS:
+        for leaf_size in LEAF_SIZES:
+            idx = build(X, leaf_size=leaf_size)
+            sizes = np.diff(idx.leaf_start)
+            assert idx.structure_stats() == {
+                "n_leaves": len(sizes),
+                "mean_leaf_fill": pytest.approx(sizes.mean() / leaf_size)}
 
 
 def test_empty_index():
@@ -133,11 +163,12 @@ def test_exact_for_any_leaf_size(name, builder, leaf_size):
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 64, 100_000])
-def test_exact_for_any_chunk_granularity(chunk_rows):
+def test_exact_for_any_chunk_granularity(chunk_rows, monkeypatch):
+    monkeypatch.setattr(tree, "_CHUNK_ROWS", chunk_rows)
     X = znormed(300, 64, seed=23)
     idx = build_sofa(X, leaf_size=16)
     q = znormed(1, 64, seed=24)[0]
-    got = idx.knn(q, k=4, chunk_rows=chunk_rows)
+    got = idx.knn(q, k=4)
     assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 4)]
 
 
