@@ -9,14 +9,20 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.distance import check_series
+
 SERIES_SCHEMA = "id long, series array<double>"
 
 
 def series_df(spark: SparkSession, X: np.ndarray,
               ids: np.ndarray | None = None,
               num_partitions: int | None = None) -> DataFrame:
-    """Wrap a series matrix ``(N, n)`` as a partitioned Spark DataFrame."""
+    """Wrap a series matrix ``(N, n)`` as a partitioned Spark DataFrame.
+
+    Raises ``ValueError`` on the driver if any value is NaN or inf.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    check_series(X, "series")
     ids = np.arange(len(X), dtype=np.int64) if ids is None else np.asarray(ids)
     pdf = pd.DataFrame({"id": ids, "series": list(X)})
     df = spark.createDataFrame(pdf, schema=SERIES_SCHEMA)

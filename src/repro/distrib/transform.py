@@ -7,7 +7,7 @@ Algorithm 2 over the whole collection); ``gemini_knn_sql`` answers an
 exact k-NN query with a pure DataFrame plan:
 
 1. LBD column via a scalar pandas UDF over the word column (the
-   vectorized branchless kernel runs inside the UDF batch);
+   table-gather LBD kernel runs inside the UDF batch);
 2. seed BSF = max true distance among the k smallest-LBD candidates
    (window row_number over lbd);
 3. candidate filter ``lbd <= bsf`` — GEMINI's guarantee: every true
@@ -25,6 +25,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
+from repro.core.distance import check_series
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import batch_mindist2
 
@@ -73,9 +74,12 @@ def gemini_knn_sql(df_words: DataFrame, summary: SymbolicSummary,
     """Exact k-NN of one query as a DataFrame plan (see module docstring).
 
     ``df_words`` comes from ``with_words``. Returns ``(series_id, dist,
-    rank)`` for the k nearest series, ties broken by id.
+    rank)`` for the k nearest series, ties broken by id. Raises
+    ``ValueError`` on the driver, before any job runs, for a non-finite
+    query or one whose length differs from the summary's series length.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
+    check_series(query[None, :], "query", summary.n)
     qvals = summary.approx(query[None, :])[0]
     lbd = _lbd_udf(summary, qvals)
     edist = _ed_udf(query)

@@ -17,14 +17,14 @@ Layout (one build path for SOFA, MESSI and every Spark partition):
 Exact search (Section IV-C, GEMINI): the leaf-box LBDs of all leaves are
 computed in one vectorized pass and sorted; the leaf with the smallest
 LBD seeds the best-so-far (BSF), then leaves are drained in that order
-until the head's LBD reaches the BSF. Each drained batch is LBD-filtered
-per series with the branchless kernel, and survivors are verified with
+until the head's LBD exceeds the BSF. Each drained batch is LBD-filtered
+per series with the table-gather kernel, and survivors are verified with
 real Euclidean distances, tightening the BSF as they go.
 
 The queue is drained in *chunks* of ``_CHUNK_ROWS`` series (batch
 ``DeleteMin``): the BSF updates between chunks rather than between
 single leaves. Exactness holds for any chunk size, since a leaf is only
-skipped when its LBD is >= the current BSF; the chunks replace per-leaf
+skipped when its LBD exceeds the current BSF; the chunks replace per-leaf
 Python overhead with wide NumPy kernels, the role SIMD plays in the
 paper.
 
@@ -45,6 +45,10 @@ from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
 
 # Series per batch DeleteMin; any value yields the same exact result.
 _CHUNK_ROWS = 2048
+# Relative slack on the prune test: a bound summed in another order than
+# the true distance may exceed it by round-off, and a candidate whose
+# bound ties the BSF may still win the tie on id.
+_PRUNE_SLACK = 1.0 + 1e-12
 
 
 @dataclass
@@ -141,6 +145,10 @@ class TreeIndex:
         def bsf2() -> float:
             return -best[0][0] if len(best) == k else np.inf
 
+        def keep2() -> float:
+            """Largest squared LBD that can still hold a top-k answer."""
+            return bsf2() * _PRUNE_SLACK
+
         def offer(d2: float, sid: int) -> None:
             item = (-d2, -sid)
             if len(best) < k:
@@ -152,7 +160,7 @@ class TreeIndex:
             """LBD-filter + exact-verify the permuted row positions ``sel``."""
             st.series_lbd_checked += len(sel)
             lbd2 = batch_mindist2(qvals, self.words_perm[sel], edges, weights)
-            surv = sel[lbd2 < bsf2()]
+            surv = sel[lbd2 <= keep2()]
             if len(surv) == 0:
                 return
             st.series_ed_computed += len(surv)
@@ -177,13 +185,13 @@ class TreeIndex:
         st.leaves_visited += 1
         process(rows(int(order[0])))
 
-        # drain the queue in chunks; stop when the head can't beat the BSF
+        # drain the queue in chunks; stop when the head can't reach the BSF
         i = 1
-        while i < n_leaves and leaf_d2[order[i]] < bsf2():
+        while i < n_leaves and leaf_d2[order[i]] <= keep2():
             chunk: list[np.ndarray] = []
             rows_acc = 0
             while i < n_leaves and rows_acc < _CHUNK_ROWS \
-                    and leaf_d2[order[i]] < bsf2():
+                    and leaf_d2[order[i]] <= keep2():
                 chunk.append(rows(int(order[i])))
                 rows_acc += len(chunk[-1])
                 i += 1

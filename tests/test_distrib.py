@@ -70,6 +70,14 @@ def test_series_df_roundtrip(spark, data):
     np.testing.assert_allclose(X2, X[ids], atol=1e-6)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_series_df_rejects_non_finite_rows(spark, data, bad):
+    X = data[0].copy()
+    X[7, 3] = float(bad)
+    with pytest.raises(ValueError, match="finite"):
+        series_df(spark, X)
+
+
 def test_to_matrix_sorts_by_id():
     pdf = pd.DataFrame({"id": [3, 1, 2],
                         "series": [np.ones(4) * i for i in (3, 1, 2)]})
@@ -191,6 +199,24 @@ def test_gemini_sql_plan_exact(spark, df, data, summary):
     assert out.series_id.tolist() == [i for _, i in exp]
     np.testing.assert_allclose(out.dist.tolist(), [d for d, _ in exp],
                                atol=1e-5)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_gemini_sql_rejects_bad_query_before_any_job(spark, df, data, summary, bad):
+    q = data[1][0].copy()
+    if bad == "short":
+        q = q[1:]
+    else:
+        q[5] = float(bad)
+    dfw = with_words(df, summary)
+    sc = spark.sparkContext
+    sc.setJobGroup("gemini-bad-query", "rejected on the driver")
+    try:
+        with pytest.raises(ValueError):
+            gemini_knn_sql(dfw, summary, q, k=2)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup("gemini-bad-query") == []
 
 
 def test_gemini_sql_plan_oracle(spark, df, data, summary):

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.distance import ed2, ed2_batch
 from repro.summaries.sax import SAXSummary, norm_ppf, sax_breakpoints
-from repro.summaries.simd import batch_mindist2, mindist2_ref
-from tests.helpers import znormed
+from repro.summaries.simd import batch_mindist2
+from tests.helpers import mindist2_ref, znormed
 
 
 def test_norm_ppf_known_values():

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.distance import ed2_batch
 from repro.summaries.sfa import SFASummary
-from repro.summaries.simd import batch_mindist2, mindist2_ref
+from repro.summaries.simd import batch_mindist2
 from repro.datasets.generators import seismic, sine_mix
-from tests.helpers import znormed
+from tests.helpers import mindist2_ref, znormed
 from repro.core.znorm import znormalize
 
 

@@ -1,13 +1,13 @@
-"""Unit tests for the branchless/batched mindist kernels (Algorithm 3)."""
+"""Unit tests for the batched mindist kernels: the table-gather word
+kernel and the mask-blend leaf-box kernel (Algorithm 3)."""
 import numpy as np
 import pytest
 
 from repro.index import build_sofa
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
-from repro.summaries.simd import (batch_interval_mindist2, batch_mindist2,
-                                  mindist2_ref)
-from tests.helpers import znormed
+from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
+from tests.helpers import mindist2_ref, znormed
 
 
 def _summary(kind, seed=0, alphabet=64, l=8, n=64):
@@ -30,13 +30,37 @@ def test_batch_equals_scalar_reference(kind, seed):
 
 
 def test_boundary_symbols_no_nan():
-    """Symbols 0 and alphabet-1 have +-inf edges; the mask-blend must not
+    """Symbols 0 and alphabet-1 have +-inf edges; the table must not
     produce NaN from inf*0."""
     s = _summary("sax", alphabet=8)
     W = np.array([[0] * 8, [7] * 8], dtype=np.uint8)
     qv = np.zeros(8)
     got = batch_mindist2(qv, W, s.edges, s.weights)
     assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("kind", ["sax", "sfa"])
+@pytest.mark.parametrize("alphabet", [2, 8, 256])
+def test_table_kernel_edge_cases_match_reference(kind, alphabet):
+    """Query values on an interior edge, below the first finite edge and
+    above the last; words of only symbol 0 or only ``alphabet-1`` (the
+    +-inf edges); and an empty batch."""
+    s = _summary(kind, alphabet=alphabet)
+    l, edges = s.l, s.edges
+    rng = np.random.default_rng(alphabet)
+    cols = np.arange(l)
+    interior = rng.integers(1, alphabet, l)
+    below, above = edges[:, 1] - 1.5, edges[:, -2] + 1.5
+    queries = {"on_edge": edges[cols, interior], "below_first": below,
+               "above_last": above, "mixed": np.where(cols % 2, below, above)}
+    words = np.vstack([np.zeros(l), np.full(l, alphabet - 1), interior - 1,
+                       interior, rng.integers(0, alphabet, (20, l))]).astype(np.uint8)
+    for name, qv in queries.items():
+        got = batch_mindist2(qv, words, edges, s.weights)
+        assert np.isfinite(got).all(), name
+        ref = [mindist2_ref(qv, w, edges, s.weights) for w in words]
+        np.testing.assert_allclose(got, ref, atol=1e-12, err_msg=name)
+        assert batch_mindist2(qv, words[:0], edges, s.weights).shape == (0,)
 
 
 def test_interval_batch_matches_mindist_ref():

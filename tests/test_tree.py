@@ -9,8 +9,8 @@ from repro.index import build_messi, build_sofa
 from repro.index import tree
 from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
-from repro.summaries.simd import batch_interval_mindist2, mindist2_ref
-from tests.helpers import brute_knn, znormed
+from repro.summaries.simd import batch_interval_mindist2
+from tests.helpers import brute_knn, mindist2_ref, znormed
 
 BUILDERS = [("sofa", build_sofa), ("messi", build_messi)]
 LEAF_SIZES = [1, 7, 16, 64, 1000]
@@ -235,3 +235,24 @@ def test_pre_fit_summary_reused():
     q = znormed(1, 64, seed=31)[0]
     assert [i for _, i in idx.knn(q, k=2)] == \
         [i for _, i in brute_knn(X, q, 2)]
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("id_order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("leaf_size", [2, 4])
+@pytest.mark.parametrize("k", [1, 3])
+def test_exact_ties_follow_brute_force_order(name, builder, id_order, leaf_size, k):
+    """Integer rows repeated five times give exact distance ties (the GEMM
+    identity is exact on them). A leaf or series whose LBD equals the BSF
+    may still hold the smaller-id neighbour, so it must not be skipped."""
+    rng = np.random.default_rng(3)
+    X = np.repeat(rng.integers(-2, 3, (40, 32)), 5, axis=0).astype(np.float32)
+    ids = np.arange(len(X))[::-1] if id_order == "reversed" \
+        else rng.permutation(len(X))
+    idx = builder(X, ids=ids, leaf_size=leaf_size)
+    for q in X:
+        d2 = ((X.astype(np.float64) - q.astype(np.float64)) ** 2).sum(axis=1)
+        exp = np.lexsort((ids, d2))[:k]
+        got = idx.knn(q, k=k)
+        assert [i for _, i in got] == ids[exp].tolist()
+        np.testing.assert_allclose([d for d, _ in got], np.sqrt(d2[exp]), atol=1e-5)
