@@ -9,10 +9,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.distrib.session import driver_memory  # noqa: E402
+
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '24g')} "
+    f"--driver-memory {driver_memory()} "
     "--conf spark.driver.host=127.0.0.1 "
     "--conf spark.ui.enabled=false pyspark-shell",
 )

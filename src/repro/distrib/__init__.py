@@ -5,8 +5,9 @@ Spark partition owns an independent per-partition engine (SOFA/MESSI
 tree, UCR scan, or flat GEMM scan) built inside the executor, and exact
 global k-NN = per-partition exact top-k + a Spark SQL window merge.
 MCB's 1 % sampling step runs as ``DataFrame.sample`` (``mcb``), and the
-GEMINI lower-bound filter is also exposed as a pure DataFrame plan with
-pandas UDFs (``transform``) so the DuckDB oracle can check it.
+GEMINI lower-bound filter is also exposed as a pure DataFrame plan of
+Spark SQL lambda expressions over the word and series arrays with a
+per-query table literal (``transform``) so the DuckDB oracle can check it.
 """
 from repro.distrib.dataset import series_df, to_matrix
 from repro.distrib.mcb import fit_sfa_spark

@@ -90,6 +90,11 @@ def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
 
         engine = cache.get_or_build((token, method, pid), build) if token \
             else build()
+        # A hit leaves the shipped rows unread, and a Python worker whose
+        # input is not drained exits instead of returning to the pool, so
+        # its cached engines and imports would die with it.
+        for _ in batches:
+            pass
         if engine is None:
             return
         yield _answer(engine, method, queries, k)

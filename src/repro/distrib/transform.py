@@ -1,18 +1,22 @@
-"""GEMINI expressed as a Catalyst DataFrame plan with pandas UDFs.
+"""GEMINI expressed as a Catalyst DataFrame plan of native Spark SQL.
 
-This is the repro-hint path: "lower-bounding distance filtering as a
-Spark UDF over partitioned data series". ``with_words`` materializes
-the symbolic transformation as a column (the distributed version of
-Algorithm 2 over the whole collection); ``gemini_knn_sql`` answers an
-exact k-NN query with a pure DataFrame plan:
+This is the repro-hint path: "lower-bounding distance filtering over
+partitioned data series". ``with_words`` materializes the symbolic
+transformation as a column (the distributed version of Algorithm 2 over
+the whole collection); ``gemini_knn_sql`` answers an exact k-NN query
+with Spark SQL lambda expressions over the word and series arrays with a
+per-query table literal, so no stage of a query starts a Python worker:
 
-1. LBD column via a scalar pandas UDF over the word column (the
-   table-gather LBD kernel runs inside the UDF batch);
-2. seed BSF = max true distance among the k smallest-LBD candidates
-   (window row_number over lbd);
-3. candidate filter ``lbd <= bsf`` — GEMINI's guarantee: every true
-   k-NN satisfies ``lbd <= ed <= bsf`` so no false dismissals;
-4. exact distance UDF on survivors, window top-k.
+1. squared LBD column: the driver builds the weighted table
+   ``T[j, a] = w_j * mindist(q_j, bin a)^2`` as one flat literal, and
+   every row sums ``T[j * alphabet + word[j]]`` over its ``l`` symbols;
+2. seed BSF = largest squared distance among the k rows with the
+   smallest ``(lbd2, id)`` (a top-k, collected);
+3. candidate filter ``lbd2 <= bsf2 * PRUNE_SLACK`` -- GEMINI's guarantee:
+   every true k-NN satisfies ``lbd2 <= ed2 <= bsf2``, so no false
+   dismissals;
+4. exact squared distance on survivors against the query literal, top-k
+   by ``(ed2, id)``.
 
 Slower than the tree path (it scans all N words per query) but fully
 inspectable by Catalyst and checkable by the DuckDB oracle.
@@ -23,11 +27,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
 
 from repro.core.distance import check_series
 from repro.summaries.common import SymbolicSummary
-from repro.summaries.simd import batch_mindist2
+from repro.summaries.simd import PRUNE_SLACK, mindist2_table
 
 WORDS_SCHEMA = "id long, series array<double>, word array<int>"
 
@@ -49,24 +52,20 @@ def with_words(df: DataFrame, summary: SymbolicSummary) -> DataFrame:
     return df.mapInPandas(run, schema=WORDS_SCHEMA)
 
 
-def _lbd_udf(summary: SymbolicSummary, qvals: np.ndarray):
-    @pandas_udf("double")
-    def lbd(words: pd.Series) -> pd.Series:
-        W = np.stack(words.to_numpy()).astype(np.uint8)
-        d2 = batch_mindist2(qvals, W, summary.edges, summary.weights)
-        return pd.Series(np.sqrt(d2))
+def _array_literal(values: np.ndarray):
+    """A constant ``array<double>`` column holding ``values`` bit-exactly.
 
-    return lbd
+    One JSON string instead of one literal per element keeps the plan
+    small; Catalyst folds it into a single array literal. ``repr`` of a
+    finite float64 is its shortest round-trip decimal, so every element
+    parses back to the same double.
+    """
+    text = "[" + ",".join(repr(float(v)) for v in values) + "]"
+    return F.from_json(F.lit(text), "array<double>")
 
 
-def _ed_udf(q: np.ndarray):
-    @pandas_udf("double")
-    def edist(series: pd.Series) -> pd.Series:
-        X = np.stack(series.to_numpy())
-        d = X - q[None, :]
-        return pd.Series(np.sqrt(np.einsum("ij,ij->i", d, d)))
-
-    return edist
+def _sum(arr):
+    return F.aggregate(arr, F.lit(0.0), lambda acc, x: acc + x)
 
 
 def gemini_knn_sql(df_words: DataFrame, summary: SymbolicSummary,
@@ -74,31 +73,33 @@ def gemini_knn_sql(df_words: DataFrame, summary: SymbolicSummary,
     """Exact k-NN of one query as a DataFrame plan (see module docstring).
 
     ``df_words`` comes from ``with_words``. Returns ``(series_id, dist,
-    rank)`` for the k nearest series, ties broken by id. Raises
-    ``ValueError`` on the driver, before any job runs, for a non-finite
-    query or one whose length differs from the summary's series length.
+    rank)`` for the k nearest series, ties broken by id; an empty frame
+    for an empty input. Raises ``ValueError`` on the driver, before any
+    job runs, for a non-finite query or one whose length differs from
+    the summary's series length.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     check_series(query[None, :], "query", summary.n)
     qvals = summary.approx(query[None, :])[0]
-    lbd = _lbd_udf(summary, qvals)
-    edist = _ed_udf(query)
+    table = _array_literal(
+        (mindist2_table(qvals, summary.edges) * summary.weights[:, None]).ravel())
+    q = _array_literal(query)
+    alphabet = summary.alphabet
 
-    scored = df_words.withColumn("lbd", lbd(F.col("word")))
+    lbd2 = _sum(F.transform(
+        "word", lambda s, j: F.element_at(table, j * alphabet + s + 1)))
+    ed2 = _sum(F.zip_with("series", q, lambda a, b: (a - b) * (a - b)))
+    scored = df_words.withColumn("lbd2", lbd2)
 
     # seed BSF: true distances of the k most promising candidates
-    w_lbd = Window.orderBy(F.col("lbd").asc(), F.col("id").asc())
-    seeds = (scored.withColumn("r", F.row_number().over(w_lbd))
-             .filter(F.col("r") <= k)
-             .withColumn("dist", edist(F.col("series"))))
-    bsf = seeds.agg(F.max("dist").alias("bsf")).collect()[0]["bsf"]
+    seeds = (scored.orderBy("lbd2", "id").limit(k)
+             .select(ed2.alias("ed2")).collect())
+    bsf2 = max((r.ed2 for r in seeds), default=-np.inf)
 
-    # GEMINI filter + exact verification + global top-k. The small epsilon
-    # absorbs float32/float64 round-off between the UDF's lbd and dist so
-    # a true neighbor sitting exactly on the boundary is never dismissed.
-    surv = (scored.filter(F.col("lbd") <= F.lit(float(bsf) + 1e-9))
-            .withColumn("dist", edist(F.col("series"))))
-    w_d = Window.orderBy(F.col("dist").asc(), F.col("id").asc())
-    return (surv.withColumn("rank", F.row_number().over(w_d))
-            .filter(F.col("rank") <= k)
-            .select(F.col("id").alias("series_id"), "dist", "rank"))
+    # GEMINI filter + exact verification + global top-k
+    top = (scored.filter(F.col("lbd2") <= F.lit(bsf2 * PRUNE_SLACK))
+           .select("id", ed2.alias("ed2"))
+           .orderBy("ed2", "id").limit(k))
+    rank = F.row_number().over(Window.orderBy("ed2", "id"))
+    return top.select(F.col("id").alias("series_id"),
+                      F.sqrt("ed2").alias("dist"), rank.alias("rank"))

@@ -41,14 +41,10 @@ import numpy as np
 
 from repro.core.distance import check_series, ed2_batch
 from repro.summaries.common import SymbolicSummary
-from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
+from repro.summaries.simd import PRUNE_SLACK, batch_interval_mindist2, batch_mindist2
 
 # Series per batch DeleteMin; any value yields the same exact result.
 _CHUNK_ROWS = 2048
-# Relative slack on the prune test: a bound summed in another order than
-# the true distance may exceed it by round-off, and a candidate whose
-# bound ties the BSF may still win the tie on id.
-_PRUNE_SLACK = 1.0 + 1e-12
 
 
 @dataclass
@@ -147,7 +143,7 @@ class TreeIndex:
 
         def keep2() -> float:
             """Largest squared LBD that can still hold a top-k answer."""
-            return bsf2() * _PRUNE_SLACK
+            return bsf2() * PRUNE_SLACK
 
         def offer(d2: float, sid: int) -> None:
             item = (-d2, -sid)

@@ -41,6 +41,9 @@ class SFASummary(SymbolicSummary):
         self.n = int(n)
         self.space = space
         self.sel = np.asarray(sel, dtype=np.int64)  # indices into space components
+        # coefficient index and imaginary-part flag of each selected component
+        self._coeffs = np.array([space.labels[s][0] for s in self.sel], dtype=np.int64)
+        self._imag = np.array([space.labels[s][1] == 1 for s in self.sel], dtype=bool)
         super().__init__(l=len(self.sel), alphabet=alphabet, edges=edges,
                          weights=space.weights[self.sel])
 
@@ -84,7 +87,8 @@ class SFASummary(SymbolicSummary):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.n:
             raise ValueError(f"series length {x.shape[1]} != {self.n}")
-        return dft_components(x, self.space)[:, self.sel]
+        spec = np.fft.rfft(x, axis=1)[:, self._coeffs] / np.sqrt(self.n)
+        return np.where(self._imag, spec.imag, spec.real)
 
     @property
     def mean_selected_coeff_index(self) -> float:

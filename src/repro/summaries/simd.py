@@ -11,7 +11,9 @@ every possible ``mindist(q_j, bin a)^2`` fits an ``(l, alphabet)``
 table, and the bound of a word is the ``w_j``-weighted sum of ``l``
 table entries (the asymmetric-distance table of product quantization,
 Jegou et al., TPAMI 2011). The per-row work is then one gather and one
-dot product, with no branch and no compare. Leaf boxes have arbitrary
+dot product, with no branch and no compare. ``mindist2_table`` builds
+that table; the Spark SQL plan of ``repro.distrib.transform`` ships it,
+weighted, as a literal and sums the same entries. Leaf boxes have arbitrary
 edges, so ``batch_interval_mindist2`` keeps the branchless mask form.
 
 All functions take the *query side* as numeric approx values (PAA means
@@ -22,27 +24,44 @@ squared lower bounds; callers compare against squared BSF.
 import numpy as np
 
 
+#: Relative slack of every GEMINI prune test (the index and the Spark SQL
+#: plan): a bound is kept while ``lbd2 <= bsf2 * PRUNE_SLACK``. A bound
+#: summed in another order than the true distance may exceed it by
+#: round-off, and a candidate whose bound ties the BSF may still win the
+#: tie on id.
+PRUNE_SLACK = 1.0 + 1e-12
+
+
+def mindist2_table(qvals, edges) -> np.ndarray:
+    """Squared distance from ``q_j`` to every bin: the (l, alphabet) table.
+
+    ``d[j, a] = max(lo - q_j, q_j - hi, 0)`` over bin ``a = [lo, hi)``
+    (never ``inf * 0``, so the +-inf edges give finite terms), squared.
+    This is Algorithm 3's ``Gather_bound`` step run once per symbol
+    rather than once per word.
+    """
+    q = np.asarray(qvals, dtype=np.float64)[:, None]
+    d = np.maximum(edges[:, :-1] - q, q - edges[:, 1:])
+    np.maximum(d, 0.0, out=d)
+    d *= d
+    return d
+
+
 def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
     """Squared LBD (Eq. 2) between one query and ``N`` words.
 
     ``qvals``: (l,) float; ``words``: (N, l) symbols; ``edges``:
     (l, alphabet+1) with +-inf ends; returns (N,) float64.
 
-    The ``Gather_bound`` step runs once per symbol: the table
-    ``d[j, a] = max(lo - q_j, q_j - hi, 0)`` over bin ``a = [lo, hi)``
-    holds the distance from ``q_j`` to every bin (never ``inf * 0``, so
-    the +-inf edges give finite terms). Each row then gathers its ``l``
-    squared entries at flat offsets ``words + j * alphabet`` and weights
-    them in one matrix-vector product.
+    Each row gathers its ``l`` entries of ``mindist2_table`` at flat
+    offsets ``words + j * alphabet`` and weights them in one
+    matrix-vector product.
     """
     words = np.atleast_2d(words)
     l, alphabet = edges.shape[0], edges.shape[1] - 1
-    q = np.asarray(qvals, dtype=np.float64)[:, None]
-    d = np.maximum(edges[:, :-1] - q, q - edges[:, 1:])
-    np.maximum(d, 0.0, out=d)
-    d *= d
     offsets = np.arange(0, l * alphabet, alphabet, dtype=np.int32)
-    return np.take(d.ravel(), words + offsets) @ np.asarray(weights, dtype=np.float64)
+    table = mindist2_table(qvals, edges).ravel()
+    return np.take(table, words + offsets) @ np.asarray(weights, dtype=np.float64)
 
 
 def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:

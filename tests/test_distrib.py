@@ -9,8 +9,12 @@ from repro.core.znorm import znormalize
 from repro.datasets.registry import make_dataset, make_queries
 from repro.distrib import (exact_knn, fit_sfa_spark, gemini_knn_sql,
                            series_df, to_matrix, with_words)
-from repro.distrib.search import METHODS
+from repro.distrib import cache
+from repro.distrib.search import METHODS, _full_pass
+from repro.distrib.transform import WORDS_SCHEMA, _array_literal
 from repro.oracle import assert_equivalent
+from repro.summaries.sfa import SFASummary
+from repro.summaries.simd import mindist2_table
 from tests.helpers import znormed
 
 N, LEN, NPART = 300, 64, 4
@@ -174,6 +178,21 @@ def test_exact_knn_with_cache_token_is_stable(spark, df, data, summary):
                                   b.reset_index(drop=True))
 
 
+def test_cache_hit_drains_shipped_rows(data):
+    """A Python worker whose input is left unread is not reused, so a hit
+    must still consume its partition's batches."""
+    X, Q = data
+    pdf = pd.DataFrame({"id": np.arange(len(X)), "series": list(X.astype(np.float64))})
+    run = _full_pass("flat", Q, 1, None, 128, 16, 256, "drain-test")
+    try:
+        for _ in range(2):  # build, then hit
+            batches = iter([pdf])
+            assert len(pd.concat(run(batches))) == len(Q)
+            assert next(batches, None) is None
+    finally:
+        cache.clear()
+
+
 def test_exact_knn_single_partition(spark, data, summary):
     X, Q = data
     d1 = series_df(spark, X, num_partitions=1)
@@ -236,3 +255,98 @@ def test_gemini_sql_plan_oracle(spark, df, data, summary):
     """
     assert_equivalent(out, sql, data_long=_long(X, "series_id"),
                       queries_long=_long(Q[1][None, :], "query_id"))
+
+
+def test_gemini_sql_empty_input(spark, df, data, summary):
+    dfw = with_words(df, summary).limit(0)
+    out = gemini_knn_sql(dfw, summary, data[1][0], k=3)
+    assert out.columns == ["series_id", "dist", "rank"]
+    assert out.toPandas().empty
+
+
+def _words_frame(spark, X, summary, ids):
+    """A word frame made without ``with_words``, so no plan node of the
+    input itself runs Python."""
+    pdf = pd.DataFrame({"id": ids.astype(np.int64), "series": list(X.astype(np.float64)),
+                        "word": list(summary.words(X).astype(np.int32))})
+    d = spark.createDataFrame(pdf, WORDS_SCHEMA).repartition(NPART).cache()
+    d.count()
+    return d
+
+
+@pytest.fixture(scope="module")
+def native_words(spark, data, summary):
+    X, _ = data
+    d = _words_frame(spark, X, summary, np.arange(len(X)))
+    yield d
+    d.unpersist()
+
+
+def test_gemini_sql_plan_has_no_python_stage(native_words, data, summary):
+    out = gemini_knn_sql(native_words, summary, data[1][2], k=5)
+    assert len(out.toPandas()) == 5
+    plan = out._jdf.queryExecution().executedPlan().toString()
+    for node in ("ArrowEvalPython", "BatchEvalPython", "MapInPandas"):
+        assert node not in plan
+
+
+def test_gemini_sql_runs_at_most_two_jobs(spark, native_words, data, summary):
+    sc = spark.sparkContext
+    sc.setJobGroup("gemini-one-query", "seed top-k, then the filtered top-k")
+    try:
+        gemini_knn_sql(native_words, summary, data[1][3], k=5).toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert 1 <= len(sc.statusTracker().getJobIdsForGroup("gemini-one-query")) <= 2
+
+
+def test_gemini_sql_literals_round_trip_bit_exactly(spark, data, summary):
+    q = data[1][3].astype(np.float64)
+    table = (mindist2_table(summary.approx(q[None, :])[0], summary.edges)
+             * summary.weights[:, None]).ravel()
+    extremes = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+                         np.nextafter(1.0, 2.0), 1.7976931348623157e308, -1e-300])
+    for values in (q, table, extremes):
+        got = spark.range(1).select(_array_literal(values).alias("a")).first().a
+        assert np.array_equal(np.array(got).view(np.int64), values.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def dup(spark):
+    """Duplicate-heavy integer series (exact distances, many exact ties)
+    whose ids do not follow row order."""
+    g = np.random.default_rng(11)
+    X = np.repeat(g.integers(-2, 3, (40, 32)), 5, axis=0).astype(np.float64)
+    ids = g.permutation(len(X)) * 3 + 7
+    Q = np.vstack([X[[0, 57]], g.integers(-2, 3, (2, 32))]).astype(np.float64)
+    summ = SFASummary.fit(X, l=8, alphabet=16)
+    d = _words_frame(spark, X, summ, ids)
+    yield X, ids, Q, summ, d
+    d.unpersist()
+
+
+def _brute(X, ids, q, k):
+    d2 = ((X - q) ** 2).sum(axis=1)
+    order = np.lexsort((ids, d2))[:k]
+    return ids[order].tolist(), np.sqrt(d2[order])
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 205])
+def test_gemini_sql_ties_follow_brute_force_order(dup, k):
+    X, ids, Q, summ, d = dup
+    for q in Q:
+        out = gemini_knn_sql(d, summ, q, k=k).toPandas()
+        exp_ids, exp_dist = _brute(X, ids, q, k)
+        assert out.series_id.tolist() == exp_ids
+        assert np.array_equal(out.dist.to_numpy(), exp_dist)
+        assert out["rank"].tolist() == list(range(1, len(exp_ids) + 1))
+
+
+def test_gemini_sql_single_row_frame(spark, dup):
+    X, ids, Q, summ, _ = dup
+    one = _words_frame(spark, X[:1], summ, ids[:1])
+    for k in (1, 3):
+        out = gemini_knn_sql(one, summ, Q[2], k=k).toPandas()
+        assert out.series_id.tolist() == [int(ids[0])]
+        assert np.array_equal(out.dist.to_numpy(), _brute(X[:1], ids[:1], Q[2], 1)[1])
+    one.unpersist()

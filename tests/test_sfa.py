@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.distance import ed2_batch
+from repro.summaries.dft import dft_components
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import batch_mindist2
 from repro.datasets.generators import seismic, sine_mix
@@ -93,6 +94,15 @@ def test_words_range():
     s = fit(alphabet=32)
     w = s.words(znormed(100, 128, seed=7))
     assert w.dtype == np.uint8 and w.max() < 32
+
+
+@pytest.mark.parametrize("n", [128, 127])
+@pytest.mark.parametrize("selection", ["variance", "first"])
+@pytest.mark.parametrize("rows", [1, 500])
+def test_approx_bit_equal_to_selected_dft_components(n, selection, rows):
+    s = fit(n=n, selection=selection)
+    x = znormed(rows, n, seed=8)
+    assert np.array_equal(s.approx(x), dft_components(x, s.space)[:, s.sel])
 
 
 def test_length_mismatch_raises():
