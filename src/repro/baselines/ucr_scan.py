@@ -29,7 +29,7 @@ def ucr_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
     Raises ``ValueError`` for non-finite rows or queries, or queries
     whose length differs from the rows'.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X))  # ed2_batch converts the slices it reads
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     check_series(X, "series")
     check_series(queries, "query", X.shape[1])

@@ -1,11 +1,13 @@
 """Euclidean distance kernels and the input check every engine shares.
 
 - ``ed2`` / ``ed``: scalar reference (tests, small paths).
-- ``ed2_batch``: exact batch squared ED via the GEMM identity
-  ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b``. It is the FAISS IndexFlatL2
-  analog, the tree's survivor verification, and the UCR scan's
-  block-granular early abandoning (a partial ED over a prefix, then the
-  rest for survivors).
+- ``ed2_batch``: exact batch squared ED. Given two batches it uses the
+  GEMM identity ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b``: the FAISS
+  IndexFlatL2 analog, and the UCR scan's block-granular early abandoning
+  (a partial ED over a prefix, then the rest for survivors). Given one
+  query, a collection and ``rows=``, it is the tree's early-abandoning
+  survivor verification: direct float64 differences summed over fixed
+  column cuts, dropping a row once its running sum passes ``bound2``.
 - ``check_series``: rejects non-finite or wrong-length input, which would
   otherwise turn into NaN distances and invented neighbours.
 """
@@ -23,13 +25,20 @@ def ed(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(ed2(a, b)))
 
 
-def ed2_batch(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
+def ed2_batch(queries: np.ndarray, data: np.ndarray, *, rows: np.ndarray | None = None,
+              bound2: float = np.inf) -> np.ndarray:
     """Exact squared ED between every query and every data series.
 
     ``queries`` is (Q, n), ``data`` is (N, n); returns (Q, N) float64.
     Uses the GEMM identity; negative round-off is clipped to 0 so callers
     can take square roots safely.
+
+    With ``rows``, ``queries`` is one series (n,) and the result is the
+    (len(rows),) squared ED from it to ``data[rows]``, early-abandoned
+    against ``bound2``: see ``_ed2_abandon``.
     """
+    if rows is not None:
+        return _ed2_abandon(queries, data, rows, bound2)
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     x = np.atleast_2d(np.asarray(data, dtype=np.float64))
     qq = np.einsum("ij,ij->i", q, q)[:, None]
@@ -37,6 +46,42 @@ def ed2_batch(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     d2 = qq + xx - 2.0 * (q @ x.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _ed2_abandon(query: np.ndarray, data: np.ndarray, rows: np.ndarray,
+                 bound2: float) -> np.ndarray:
+    """Squared ED from ``query`` to ``data[rows]``, ``inf`` where abandoned.
+
+    Each row is summed over the column cuts ``[0, n/4)``, ``[n/4, n/2)``
+    and ``[n/2, n)``: float64 differences of only those columns, squared
+    and summed per cut, added to a running sum. After each cut but the
+    last, rows whose running sum exceeds ``bound2`` are dropped and come
+    back as ``inf``.
+
+    Exactness: rounded addition of non-negative terms never decreases, so
+    a dropped row's full distance also exceeds ``bound2``. Every row is
+    summed over the same cuts in the same order whatever ``bound2`` is, so
+    equal rows get bit-equal distances and ties can fall to the id.
+    """
+    q = np.asarray(query, dtype=np.float64).ravel()
+    n = len(q)
+    src = np.asarray(rows, dtype=np.intp)
+    acc = np.zeros(len(src))
+    live = None  # positions in ``rows`` still summed; None while all are
+    for lo, hi in ((0, n // 4), (n // 4, n // 2), (n // 2, n)):
+        diff = data[src, lo:hi].astype(np.float64)
+        diff -= q[lo:hi]
+        acc += np.einsum("ij,ij->i", diff, diff)
+        if hi < n and bound2 < np.inf:
+            keep = np.flatnonzero(acc <= bound2)
+            if len(keep) < len(acc):
+                live = keep if live is None else live[keep]
+                src, acc = src[keep], acc[keep]
+    if live is None:
+        return acc
+    out = np.full(len(rows), np.inf)
+    out[live] = acc
+    return out
 
 
 def check_series(x: np.ndarray, what: str, length: int | None = None) -> None:

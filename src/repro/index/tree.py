@@ -18,8 +18,11 @@ Exact search (Section IV-C, GEMINI): the leaf-box LBDs of all leaves are
 computed in one vectorized pass and sorted; the leaf with the smallest
 LBD seeds the best-so-far (BSF), then leaves are drained in that order
 until the head's LBD exceeds the BSF. Each drained batch is LBD-filtered
-per series with the table-gather kernel, and survivors are verified with
-real Euclidean distances, tightening the BSF as they go.
+per series with the table-gather kernel (the query's table is built once
+per search), and survivors are verified with real Euclidean distances by
+the early-abandoning ``ed2_batch(q, X, rows=, bound2=)``: a row is dropped
+at the first column cut where its partial distance passes the BSF. Only
+rows the BSF can still admit are sorted and offered to the top-k heap.
 
 The queue is drained in *chunks* of ``_CHUNK_ROWS`` series (batch
 ``DeleteMin``): the BSF updates between chunks rather than between
@@ -41,7 +44,8 @@ import numpy as np
 
 from repro.core.distance import check_series, ed2_batch
 from repro.summaries.common import SymbolicSummary
-from repro.summaries.simd import PRUNE_SLACK, batch_interval_mindist2, batch_mindist2
+from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mindist2,
+                                  mindist2_table)
 
 # Series per batch DeleteMin; any value yields the same exact result.
 _CHUNK_ROWS = 2048
@@ -56,6 +60,7 @@ class SearchStats:
     leaves_visited: int = 0
     series_lbd_checked: int = 0
     series_ed_computed: int = 0
+    series_ed_abandoned: int = 0  # of those, stopped at a column cut
 
     @property
     def pruning_ratio(self) -> float:
@@ -134,6 +139,7 @@ class TreeIndex:
         st.n_series, st.n_leaves = n_rows, n_leaves
         qvals = self.summary.approx(q[None, :])[0]
         edges, weights = self.summary.edges, self.summary.weights
+        table = mindist2_table(qvals, edges)
 
         # heap of (-d2, -id) so the worst of the current k is on top
         best: list[tuple[float, int]] = []
@@ -155,43 +161,47 @@ class TreeIndex:
         def process(sel: np.ndarray) -> None:
             """LBD-filter + exact-verify the permuted row positions ``sel``."""
             st.series_lbd_checked += len(sel)
-            lbd2 = batch_mindist2(qvals, self.words_perm[sel], edges, weights)
+            lbd2 = batch_mindist2(qvals, self.words_perm[sel], edges, weights, table=table)
             surv = sel[lbd2 <= keep2()]
             if len(surv) == 0:
                 return
             st.series_ed_computed += len(surv)
-            d2s = ed2_batch(q[None, :], self.X[self.perm[surv]])[0]
+            d2s = ed2_batch(q, self.X, rows=self.perm[surv], bound2=keep2())
+            st.series_ed_abandoned += int(np.count_nonzero(d2s == np.inf))
             b = bsf2()
-            for j in np.argsort(d2s, kind="stable"):
+            cand = np.flatnonzero(d2s <= b)
+            for j in cand[np.argsort(d2s[cand], kind="stable")]:
                 if d2s[j] > b and len(best) == k:
                     break
                 offer(float(d2s[j]), int(self.ids[self.perm[surv[j]]]))
                 b = bsf2()
 
-        def rows(lid: int) -> np.ndarray:
-            return np.arange(self.leaf_start[lid], self.leaf_start[lid + 1])
+        def rows(lids: np.ndarray) -> np.ndarray:
+            """Row positions of the leaves ``lids``, leaf after leaf."""
+            starts = self.leaf_start[lids]
+            sizes = self.leaf_start[lids + 1] - starts
+            return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
         # leaf-box LBD of every leaf in one vectorized pass: the priority
         # queue of MESSI, materialized at once
         leaf_d2 = batch_interval_mindist2(qvals, self.leaf_lo, self.leaf_hi,
                                           weights)
         order = np.argsort(leaf_d2, kind="stable")
+        queue_d2 = leaf_d2[order]
+        queue_end = np.cumsum(np.diff(self.leaf_start)[order])  # rows through each leaf
 
         # the most promising leaf seeds the BSF with real distances
         st.leaves_visited += 1
-        process(rows(int(order[0])))
+        process(rows(order[:1]))
 
-        # drain the queue in chunks; stop when the head can't reach the BSF
+        # drain the queue in chunks of at least _CHUNK_ROWS rows; stop when
+        # the head can't reach the BSF
         i = 1
-        while i < n_leaves and leaf_d2[order[i]] <= keep2():
-            chunk: list[np.ndarray] = []
-            rows_acc = 0
-            while i < n_leaves and rows_acc < _CHUNK_ROWS \
-                    and leaf_d2[order[i]] <= keep2():
-                chunk.append(rows(int(order[i])))
-                rows_acc += len(chunk[-1])
-                i += 1
-            st.leaves_visited += len(chunk)
-            process(np.concatenate(chunk))
+        while i < n_leaves and queue_d2[i] <= keep2():
+            j = int(min(np.searchsorted(queue_end, queue_end[i - 1] + _CHUNK_ROWS) + 1,
+                        np.searchsorted(queue_d2, keep2(), side="right")))
+            st.leaves_visited += j - i
+            process(rows(order[i:j]))
+            i = j
 
         return sorted((float(np.sqrt(max(0.0, -nd2))), -nid) for nd2, nid in best)

@@ -47,7 +47,7 @@ def mindist2_table(qvals, edges) -> np.ndarray:
     return d
 
 
-def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
+def batch_mindist2(qvals, words, edges, weights, *, table=None) -> np.ndarray:
     """Squared LBD (Eq. 2) between one query and ``N`` words.
 
     ``qvals``: (l,) float; ``words``: (N, l) symbols; ``edges``:
@@ -55,13 +55,16 @@ def batch_mindist2(qvals, words, edges, weights) -> np.ndarray:
 
     Each row gathers its ``l`` entries of ``mindist2_table`` at flat
     offsets ``words + j * alphabet`` and weights them in one
-    matrix-vector product.
+    matrix-vector product. A caller that bounds many batches for one
+    query passes the query's table, ``mindist2_table(qvals, edges)``, as
+    ``table`` so it is built once.
     """
     words = np.atleast_2d(words)
     l, alphabet = edges.shape[0], edges.shape[1] - 1
     offsets = np.arange(0, l * alphabet, alphabet, dtype=np.int32)
-    table = mindist2_table(qvals, edges).ravel()
-    return np.take(table, words + offsets) @ np.asarray(weights, dtype=np.float64)
+    if table is None:
+        table = mindist2_table(qvals, edges)
+    return np.take(table.ravel(), words + offsets) @ np.asarray(weights, dtype=np.float64)
 
 
 def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:

@@ -53,3 +53,70 @@ def test_batch_self_distance_diagonal_zero(seed):
     X = np.random.default_rng(seed).standard_normal((10, 32))
     d2 = ed2_batch(X, X)
     np.testing.assert_allclose(np.diag(d2), 0, atol=1e-7)
+
+
+# ------------------------------------------ early-abandoning verification
+def _direct_d2(q, X):
+    diff = X.astype(np.float64) - np.asarray(q, dtype=np.float64)
+    return (diff * diff).sum(axis=1)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 97, 256])
+def test_abandon_without_bound_matches_direct_differences(length):
+    g = np.random.default_rng(length)
+    X = g.standard_normal((50, length)).astype(np.float32)
+    q = g.standard_normal(length)
+    rows = g.permutation(50)[:30]
+    got = ed2_batch(q, X, rows=rows)
+    assert got.shape == (30,) and got.dtype == np.float64
+    np.testing.assert_allclose(got, _direct_d2(q, X[rows]), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("length", [1, 3, 64, 97])
+def test_abandon_equal_rows_get_bit_equal_distances(length):
+    """Copies of a row at different positions, in batches of different
+    sizes and under different bounds, get the same bits."""
+    g = np.random.default_rng(10 + length)
+    base = g.standard_normal((8, length)).astype(np.float32)
+    X = np.concatenate([base, g.standard_normal((5, length)).astype(np.float32), base])
+    q = g.standard_normal(length)
+    full = ed2_batch(q, X, rows=np.arange(len(X)))
+    assert np.array_equal(full[:8], full[13:])
+    for rows in (np.arange(len(X))[::-1], np.arange(13, 21), np.array([20, 2, 15])):
+        for bound2 in (np.inf, float(np.max(full)), float(np.median(full))):
+            got = ed2_batch(q, X, rows=rows, bound2=bound2)
+            done = got != np.inf
+            assert np.array_equal(got[done], full[rows[done]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_abandon_drops_only_rows_above_the_bound(seed):
+    """Rows whose whole distance lies in the first cut, in the first two,
+    or spread out: a row whose distance equals the bound survives every
+    cut."""
+    g = np.random.default_rng(seed)
+    q = g.standard_normal(128).astype(np.float32).astype(np.float64)
+    noise = g.standard_normal((400, 128))
+    noise[:100, 32:] = 0.0
+    noise[100:200, 64:] = 0.0
+    X = (q + noise).astype(np.float32)
+    rows = g.permutation(400)
+    full = ed2_batch(q, X, rows=rows)
+    true = _direct_d2(q, X[rows])
+    for bound2 in np.r_[np.quantile(full, [0.0, 0.05, 0.5, 0.95]), full[:40]]:
+        got = ed2_batch(q, X, rows=rows, bound2=bound2)
+        kept = full <= bound2
+        assert np.array_equal(got[kept], full[kept])
+        assert (true[got == np.inf] > bound2).all()
+        assert (got[~kept] > bound2).all()
+
+
+def test_abandon_empty_and_repeated_rows():
+    g = np.random.default_rng(4)
+    X = g.standard_normal((6, 16)).astype(np.float32)
+    q = g.standard_normal(16)
+    assert ed2_batch(q, X, rows=np.array([], dtype=np.int64)).shape == (0,)
+    assert ed2_batch(q, X, rows=[]).shape == (0,)
+    got = ed2_batch(q, X, rows=np.array([3, 1, 3, 3, 1]))
+    assert got[0] == got[2] == got[3] and got[1] == got[4]
+    np.testing.assert_allclose(got, _direct_d2(q, X[[3, 1, 3, 3, 1]]), rtol=1e-12)

@@ -256,3 +256,54 @@ def test_exact_ties_follow_brute_force_order(name, builder, id_order, leaf_size,
         got = idx.knn(q, k=k)
         assert [i for _, i in got] == ids[exp].tolist()
         np.testing.assert_allclose([d for d, _ in got], np.sqrt(d2[exp]), atol=1e-5)
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("leaf_size", [4, 16])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_float_duplicate_ties_follow_brute_force_order(name, builder, leaf_size, k):
+    """Float rows repeated five times: every copy must get the same
+    distance bits, so ties among copies fall to the id, as in a brute
+    force over direct float64 differences."""
+    rng = np.random.default_rng(5)
+    X = np.repeat(znormed(40, 64, seed=12), 5, axis=0)
+    ids = rng.permutation(len(X))
+    idx = builder(X, ids=ids, leaf_size=leaf_size)
+    noisy = X[::5] + rng.normal(0, 0.3, (40, 64)).astype(np.float32)
+    X64 = X.astype(np.float64)
+    for q in np.concatenate([X[::5], noisy]):
+        diff = X64 - q.astype(np.float64)
+        d2 = (diff * diff).sum(axis=1)
+        exp = np.lexsort((ids, d2))[:k]
+        got = idx.knn(q, k=k)
+        assert [i for _, i in got] == ids[exp].tolist()
+        np.testing.assert_allclose([d for d, _ in got], np.sqrt(d2[exp]), rtol=1e-12)
+
+
+def test_knn_looks_up_kernels_in_tree_module(monkeypatch):
+    """The search reaches its kernels through ``repro.index.tree`` at call
+    time, so a wrapper set on the module sees every call."""
+    calls = dict.fromkeys(["batch_mindist2", "batch_interval_mindist2", "ed2_batch"], 0)
+    abandoned = []
+
+    def counting(name):
+        fn = getattr(tree, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = fn(*args, **kwargs)
+            if name == "ed2_batch":
+                abandoned.append(int(np.count_nonzero(out == np.inf)))
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tree, name, counting(name))
+    X = make_dataset("LenDB", scale=0.1).astype(np.float32)
+    q = make_queries("LenDB", 1, scale=0.1)[0].astype(np.float32)
+    st = SearchStats()
+    build_messi(X, leaf_size=16).knn(q, k=3, stats=st)
+    assert calls["batch_interval_mindist2"] == 1
+    assert calls["batch_mindist2"] >= calls["ed2_batch"] >= 1
+    assert st.series_ed_abandoned == sum(abandoned) > 0
+    assert st.series_ed_abandoned < st.series_ed_computed
