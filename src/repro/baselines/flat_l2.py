@@ -5,31 +5,42 @@ FAISS's flat index answers query batches with a BLAS GEMM over the
 selection — no summarization, no pruning. The paper runs it with query
 mini-batches sized to the core count; here the whole query batch hits
 each partition at once and NumPy's BLAS plays MKL's role.
+The GEMM values carry round-off, so they only shortlist: rows within the
+identity's error bound of the k-th are measured again by direct float64
+differences, so that float duplicates tie exactly and fall to the id.
 """
 import numpy as np
 
-from repro.core.distance import check_series, ed2_batch
+from repro.core.distance import check_k, check_series, ed2_batch, select_topk
 
 
 def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
              ids: np.ndarray | None = None) -> list[list[tuple[float, int]]]:
     """Exact k-NN via one GEMM; same return shape as ``ucr_knn``.
 
-    Raises ``ValueError`` for non-finite rows or queries, or queries
-    whose length differs from the rows'.
+    Raises ``ValueError`` for ``k < 1``, non-finite rows or queries, or
+    queries whose length differs from the rows'.
     """
+    check_k(k)
     X = np.atleast_2d(X)
     queries = np.atleast_2d(queries)
     check_series(X, "series")
     check_series(queries, "query", X.shape[1])
+    if len(X) == 0:
+        return [[] for _ in queries]
     ids = np.arange(len(X), dtype=np.int64) if ids is None else np.asarray(ids)
     kk = min(k, len(X))
-    d2 = ed2_batch(queries, X)  # (Q, N)
+    # A GEMM value is off by at most (n + 2) eps (|q|^2 + |x|^2) (dot-product
+    # error bound), and a row that can tie the true k-th distance has
+    # |x| <= |q| + sqrt(kth), so it lies within twice that bound of the k-th
+    # GEMM value; 8 n eps leaves room for the re-measure's own round-off.
+    err = 8.0 * X.shape[1] * np.finfo(np.float64).eps
     out = []
-    for row in d2:
-        # every row tied with the k-th distance stays a candidate, so the
-        # (dist, id) order decides which of them make the cut
-        cand = np.nonzero(row <= np.partition(row, kk - 1)[kk - 1])[0]
-        top = cand[np.lexsort((ids[cand], row[cand]))[:kk]]
-        out.append([(float(np.sqrt(row[p])), int(ids[p])) for p in top])
+    for q, row in zip(queries, ed2_batch(queries, X)):
+        qq = float(np.dot(q, q.astype(np.float64)))
+        kth = np.partition(row, kk - 1)[kk - 1]
+        cand = np.flatnonzero(row <= kth + err * (qq + (np.sqrt(qq) + np.sqrt(kth)) ** 2))
+        exact = ed2_batch(q, X, rows=cand)
+        top = select_topk(exact, ids[cand], kk)
+        out.append([(float(np.sqrt(exact[i])), int(ids[cand[i]])) for i in top])
     return out

@@ -1,15 +1,16 @@
-"""Euclidean distance kernels and the input check every engine shares.
+"""Euclidean distance kernels, the top-k and the input checks every engine shares.
 
 - ``ed2`` / ``ed``: scalar reference (tests, small paths).
 - ``ed2_batch``: exact batch squared ED. Given two batches it uses the
-  GEMM identity ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b``: the FAISS
-  IndexFlatL2 analog, and the UCR scan's block-granular early abandoning
-  (a partial ED over a prefix, then the rest for survivors). Given one
-  query, a collection and ``rows=``, it is the tree's early-abandoning
-  survivor verification: direct float64 differences summed over fixed
-  column cuts, dropping a row once its running sum passes ``bound2``.
-- ``check_series``: rejects non-finite or wrong-length input, which would
-  otherwise turn into NaN distances and invented neighbours.
+  GEMM identity ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` (the FAISS
+  IndexFlatL2 analog's shortlist, the TLB experiment). Given one query, a
+  collection and ``rows=``, it verifies the tree's survivors and the UCR
+  scan's blocks by early abandoning: direct float64 differences summed over
+  fixed column cuts, dropping a row once its running sum passes ``bound2``.
+- ``select_topk``: the one top-k of every engine, ordered by ``(d2, id)``.
+- ``check_series`` / ``check_k``: reject non-finite or wrong-length input,
+  which would otherwise turn into NaN distances and invented neighbours,
+  and ``k < 1``.
 """
 import numpy as np
 
@@ -82,6 +83,20 @@ def _ed2_abandon(query: np.ndarray, data: np.ndarray, rows: np.ndarray,
     out = np.full(len(rows), np.inf)
     out[live] = acc
     return out
+
+
+def select_topk(d2: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``(d2, id)`` pairs, in that order.
+
+    Callers pass only rows that can still enter the top-k, so a full sort
+    stays short."""
+    return np.lexsort((ids, d2))[:k]
+
+
+def check_k(k: int) -> None:
+    """Raise ``ValueError`` unless ``k >= 1``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def check_series(x: np.ndarray, what: str, length: int | None = None) -> None:

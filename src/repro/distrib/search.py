@@ -31,7 +31,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.flat_l2 import flat_knn
 from repro.baselines.ucr_scan import ucr_knn
-from repro.core.distance import check_series
+from repro.core.distance import check_k, check_series
 from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
@@ -58,22 +58,13 @@ def _build_engine(batches: Iterator[pd.DataFrame], method: str,
 
 def _answer(engine, method: str, queries: np.ndarray, k: int) -> pd.DataFrame:
     kind, obj = engine
-    rows = {"query_id": [], "series_id": [], "dist": []}
     if kind == "tree":
-        for qi, q in enumerate(queries):
-            for dist, sid in obj.knn(q.astype(np.float32), k=k):
-                rows["query_id"].append(qi)
-                rows["series_id"].append(sid)
-                rows["dist"].append(dist)
+        res = [obj.knn(q.astype(np.float32), k=k) for q in queries]
     else:
         ids, X = obj
-        fn = ucr_knn if method == "ucr" else flat_knn
-        for qi, res in enumerate(fn(X, queries, k=k, ids=ids)):
-            for dist, sid in res:
-                rows["query_id"].append(qi)
-                rows["series_id"].append(sid)
-                rows["dist"].append(dist)
-    return pd.DataFrame(rows)
+        res = (ucr_knn if method == "ucr" else flat_knn)(X, queries, k=k, ids=ids)
+    return pd.DataFrame([(qi, sid, dist) for qi, r in enumerate(res) for dist, sid in r],
+                        columns=["query_id", "series_id", "dist"])
 
 
 def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
@@ -125,9 +116,10 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     identically, as in the paper's single learned transformation
     (Figure 5). ``cache_token`` enables the warm fast path (see module
     docstring); it must uniquely identify (dataset, partitioning,
-    method parameters). Raises ``ValueError`` for a non-finite query, or
-    one whose length differs from the summary's series length.
+    method parameters). Raises ``ValueError`` for ``k < 1``, a non-finite
+    query, or one whose length differs from the summary's series length.
     """
+    check_k(k)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "sofa" and summary is None:

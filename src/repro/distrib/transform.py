@@ -28,7 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.distance import check_series
+from repro.core.distance import check_k, check_series
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import PRUNE_SLACK, mindist2_table
 
@@ -75,9 +75,10 @@ def gemini_knn_sql(df_words: DataFrame, summary: SymbolicSummary,
     ``df_words`` comes from ``with_words``. Returns ``(series_id, dist,
     rank)`` for the k nearest series, ties broken by id; an empty frame
     for an empty input. Raises ``ValueError`` on the driver, before any
-    job runs, for a non-finite query or one whose length differs from
-    the summary's series length.
+    job runs, for ``k < 1``, a non-finite query or one whose length
+    differs from the summary's series length.
     """
+    check_k(k)
     query = np.asarray(query, dtype=np.float64).ravel()
     check_series(query[None, :], "query", summary.n)
     qvals = summary.approx(query[None, :])[0]

@@ -10,9 +10,9 @@ Layout (one build path for SOFA, MESSI and every Spark partition):
 - the sorted order is cut into runs of ``leaf_size`` rows, so every leaf
   but the last is full (bottom-up full-leaf build, as in Coconut);
 - each leaf stores the per-position min/max **symbol box** of its rows
-  as interval edges ``leaf_lo``/``leaf_hi``. The box contains every
-  member's symbol interval, so its LBD is a lower bound for every series
-  in the leaf, the property GEMINI's leaf pruning needs.
+  as uint8 symbols ``leaf_lo``/``leaf_hi`` (both inclusive). The box
+  contains every member's symbol, so its LBD is a lower bound for every
+  series in the leaf, the property GEMINI's leaf pruning needs.
 
 Exact search (Section IV-C, GEMINI): the leaf-box LBDs of all leaves are
 computed in one vectorized pass and sorted; the leaf with the smallest
@@ -21,8 +21,8 @@ until the head's LBD exceeds the BSF. Each drained batch is LBD-filtered
 per series with the table-gather kernel (the query's table is built once
 per search), and survivors are verified with real Euclidean distances by
 the early-abandoning ``ed2_batch(q, X, rows=, bound2=)``: a row is dropped
-at the first column cut where its partial distance passes the BSF. Only
-rows the BSF can still admit are sorted and offered to the top-k heap.
+at the first column cut where its partial distance passes the BSF. Rows
+the BSF can still admit are merged into the current top-k by ``select_topk``.
 
 The queue is drained in *chunks* of ``_CHUNK_ROWS`` series (batch
 ``DeleteMin``): the BSF updates between chunks rather than between
@@ -37,12 +37,11 @@ this repo (each partition owns an independent TreeIndex; see
 counters used by the experiment harnesses to explain *why* one method
 beats another, independent of Python/C constant factors.
 """
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distance import check_series, ed2_batch
+from repro.core.distance import check_k, check_series, ed2_batch, select_topk
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mindist2,
                                   mindist2_table)
@@ -108,11 +107,8 @@ class TreeIndex:
         self.words_perm = words[self.perm]
         self.leaf_start = np.append(np.arange(0, n_rows, leaf_size), n_rows)
         starts = self.leaf_start[:-1]
-        lo = np.minimum.reduceat(self.words_perm, starts).astype(np.int64)
-        hi = np.maximum.reduceat(self.words_perm, starts).astype(np.int64)
-        cols = np.arange(summary.l)
-        self.leaf_lo = summary.edges[cols, lo]
-        self.leaf_hi = summary.edges[cols, hi + 1]
+        self.leaf_lo = np.minimum.reduceat(self.words_perm, starts)
+        self.leaf_hi = np.maximum.reduceat(self.words_perm, starts)
 
     def structure_stats(self) -> dict:
         """Leaf-shape statistics (paper Figure 8): leaf count and fill."""
@@ -127,8 +123,9 @@ class TreeIndex:
         """Exact k nearest neighbors of z-normalized query ``q``.
 
         Returns ``[(distance, id), ...]`` ascending, ties broken by id.
-        Raises ``ValueError`` for a non-finite or wrong-length query.
+        Raises ``ValueError`` for ``k < 1`` or a bad (non-finite, wrong-length) query.
         """
+        check_k(k)
         q = np.ascontiguousarray(q, dtype=np.float64).ravel()
         check_series(q[None, :], "query", self.X.shape[1])
         n_rows, n_leaves = self.X.shape[0], len(self.leaf_start) - 1
@@ -141,25 +138,16 @@ class TreeIndex:
         edges, weights = self.summary.edges, self.summary.weights
         table = mindist2_table(qvals, edges)
 
-        # heap of (-d2, -id) so the worst of the current k is on top
-        best: list[tuple[float, int]] = []
-
-        def bsf2() -> float:
-            return -best[0][0] if len(best) == k else np.inf
+        # the current top-k, ascending by (d2, id)
+        best_d2, best_ids = np.empty(0), np.empty(0, dtype=np.int64)
 
         def keep2() -> float:
-            """Largest squared LBD that can still hold a top-k answer."""
-            return bsf2() * PRUNE_SLACK
-
-        def offer(d2: float, sid: int) -> None:
-            item = (-d2, -sid)
-            if len(best) < k:
-                heapq.heappush(best, item)
-            elif item > best[0]:
-                heapq.heapreplace(best, item)
+            """Largest squared LBD or distance that can still hold a top-k answer."""
+            return best_d2[-1] * PRUNE_SLACK if len(best_d2) == k else np.inf
 
         def process(sel: np.ndarray) -> None:
             """LBD-filter + exact-verify the permuted row positions ``sel``."""
+            nonlocal best_d2, best_ids
             st.series_lbd_checked += len(sel)
             lbd2 = batch_mindist2(qvals, self.words_perm[sel], edges, weights, table=table)
             surv = sel[lbd2 <= keep2()]
@@ -168,13 +156,11 @@ class TreeIndex:
             st.series_ed_computed += len(surv)
             d2s = ed2_batch(q, self.X, rows=self.perm[surv], bound2=keep2())
             st.series_ed_abandoned += int(np.count_nonzero(d2s == np.inf))
-            b = bsf2()
-            cand = np.flatnonzero(d2s <= b)
-            for j in cand[np.argsort(d2s[cand], kind="stable")]:
-                if d2s[j] > b and len(best) == k:
-                    break
-                offer(float(d2s[j]), int(self.ids[self.perm[surv[j]]]))
-                b = bsf2()
+            cand = d2s <= keep2()
+            d2s = np.append(best_d2, d2s[cand])
+            ids = np.append(best_ids, self.ids[self.perm[surv[cand]]])
+            top = select_topk(d2s, ids, k)
+            best_d2, best_ids = d2s[top], ids[top]
 
         def rows(lids: np.ndarray) -> np.ndarray:
             """Row positions of the leaves ``lids``, leaf after leaf."""
@@ -184,8 +170,8 @@ class TreeIndex:
 
         # leaf-box LBD of every leaf in one vectorized pass: the priority
         # queue of MESSI, materialized at once
-        leaf_d2 = batch_interval_mindist2(qvals, self.leaf_lo, self.leaf_hi,
-                                          weights)
+        leaf_d2 = batch_interval_mindist2(qvals, self.leaf_lo, self.leaf_hi, edges,
+                                          weights, table=table)
         order = np.argsort(leaf_d2, kind="stable")
         queue_d2 = leaf_d2[order]
         queue_end = np.cumsum(np.diff(self.leaf_start)[order])  # rows through each leaf
@@ -204,4 +190,4 @@ class TreeIndex:
             process(rows(order[i:j]))
             i = j
 
-        return sorted((float(np.sqrt(max(0.0, -nd2))), -nid) for nd2, nid in best)
+        return [(float(d), int(i)) for d, i in zip(np.sqrt(best_d2), best_ids)]

@@ -5,8 +5,8 @@
   (the numeric core of SFA).
 - ``sax``: iSAX — PAA + fixed N(0,1) equal-depth quantization.
 - ``sfa``: SFA — DFT + variance feature selection + learned MCB bins.
-- ``simd``: batched mindist kernels, a per-query table gather over words and
-  a branchless mask blend over leaf boxes (Algorithm 3 analog).
+- ``simd``: batched mindist kernels, one per-query table gathered over words
+  and over leaf symbol boxes (Algorithm 3 analog).
 
 Both symbolic summaries share the ``common.SymbolicSummary`` contract:
 ``approx`` (numeric reduced representation), ``words`` (uint8 symbols at

@@ -5,20 +5,20 @@ The paper's Algorithm 3 vectorizes Eq. 2 with SIMD: gather each symbol's
 condition masks, combine each branch's distance under its mask, and
 early-abandon after each 8-wide chunk.
 
-For words, this module applies ``Gather_bound`` and the mask combine
-once per *symbol* instead of once per row: one query fixes ``q_j``, so
-every possible ``mindist(q_j, bin a)^2`` fits an ``(l, alphabet)``
-table, and the bound of a word is the ``w_j``-weighted sum of ``l``
-table entries (the asymmetric-distance table of product quantization,
-Jegou et al., TPAMI 2011). The per-row work is then one gather and one
-dot product, with no branch and no compare. ``mindist2_table`` builds
-that table; the Spark SQL plan of ``repro.distrib.transform`` ships it,
-weighted, as a literal and sums the same entries. Leaf boxes have arbitrary
-edges, so ``batch_interval_mindist2`` keeps the branchless mask form.
+This module applies ``Gather_bound`` and the mask combine once per
+*symbol* instead of once per row: one query fixes ``q_j``, so every
+possible ``mindist(q_j, bin a)^2`` fits an ``(l, alphabet)`` table (the
+asymmetric-distance table of product quantization, Jegou et al., TPAMI
+2011), and the bound of a word is one gather of ``l`` entries and a
+``w_j``-weighted sum, with no branch and no compare. The Spark SQL plan of
+``repro.distrib.transform`` ships the weighted table as a literal and sums
+the same entries. Table row ``j`` is 0 at the query's symbol and never
+decreases away from it, so a leaf's symbol box ``[lo_j, hi_j]`` is bounded
+by the entry at the query's symbol clipped into the box.
 
 All functions take the *query side* as numeric approx values (PAA means
 for iSAX / scaled DFT components for SFA) and the *candidate side* as
-symbols or boxes, plus the summary's ``edges``/``weights``. They return
+symbols or symbol boxes, plus the summary's ``edges``/``weights``. They return
 squared lower bounds; callers compare against squared BSF.
 """
 import numpy as np
@@ -67,15 +67,17 @@ def batch_mindist2(qvals, words, edges, weights, *, table=None) -> np.ndarray:
     return np.take(table.ravel(), words + offsets) @ np.asarray(weights, dtype=np.float64)
 
 
-def batch_interval_mindist2(qvals, lo, hi, weights) -> np.ndarray:
-    """Squared LBD between one query and ``R`` interval boxes at once.
+def batch_interval_mindist2(qvals, lo, hi, edges, weights, *, table=None) -> np.ndarray:
+    """Squared LBD between one query and ``R`` symbol boxes at once.
 
-    ``lo``/``hi``: (R, l) lower/upper breakpoints (+-inf allowed). Used by
-    the index to bound ALL leaf boxes in one vectorized pass instead of
-    R scalar calls — the SIMD analog at the leaf level. The UPPER/LOWER
-    branches are mask-blended rather than mask-multiplied: IEEE
-    ``inf * 0`` is NaN at the +-inf edges.
+    ``lo``/``hi``: (R, l) smallest/largest symbol of each box position,
+    both inclusive. Used by the index to bound ALL leaf boxes in one
+    vectorized pass: a box's bound is ``batch_mindist2`` of its word
+    nearest the query, ``clip(qsym_j, lo_j, hi_j)``, where ``qsym_j`` is the
+    first zero of the query's table row ``j``. ``table`` as for
+    ``batch_mindist2``.
     """
-    q = np.asarray(qvals, dtype=np.float64)[None, :]
-    d = np.where(q < lo, lo - q, 0.0) + np.where(q > hi, q - hi, 0.0)
-    return np.einsum("ij,j->i", d * d, np.asarray(weights, dtype=np.float64))
+    if table is None:
+        table = mindist2_table(qvals, edges)
+    nearest = np.minimum(np.maximum(table.argmin(axis=1), lo), hi)
+    return batch_mindist2(qvals, nearest, edges, weights, table=table)

@@ -1,8 +1,9 @@
-"""Shared test utilities: data factories, a brute-force oracle and the
-scalar Eq. 2 reference the batched LBD kernels are checked against."""
+"""Shared test utilities: data factories, a brute-force oracle, the DuckDB
+k-NN query over exploded series, and the scalar Eq. 2 reference the batched
+LBD kernels are checked against."""
 import numpy as np
+import pandas as pd
 
-from repro.core.distance import ed2_batch
 from repro.core.znorm import znormalize
 
 
@@ -12,11 +13,46 @@ def znormed(n_series: int, length: int, seed: int = 0) -> np.ndarray:
     return znormalize(g.standard_normal((n_series, length)).astype(np.float32))
 
 
-def brute_knn(X: np.ndarray, q: np.ndarray, k: int) -> list[tuple[float, int]]:
-    """Ground-truth k-NN: (distance, id) ascending, ties broken by id."""
-    d2 = ed2_batch(q[None, :], X)[0]
-    order = np.lexsort((np.arange(len(X)), d2))[:k]
-    return [(float(np.sqrt(d2[i])), int(i)) for i in order]
+def brute_knn(X: np.ndarray, q: np.ndarray, k: int,
+              ids: np.ndarray | None = None) -> list[tuple[float, int]]:
+    """Ground-truth k-NN: (distance, id) ascending, ties broken by id.
+
+    Distances are summed from direct float64 differences, row by row, not
+    through the GEMM identity, so copies of a row get bit-equal distances
+    and their order falls to the id. ``ids`` default to row positions.
+    """
+    diff = np.asarray(X, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    ids = np.arange(len(X)) if ids is None else np.asarray(ids)
+    order = np.lexsort((ids, d2))[:k]
+    return [(float(np.sqrt(d2[i])), int(ids[i])) for i in order]
+
+
+def long_table(mat: np.ndarray, idcol: str, ids: np.ndarray | None = None) -> pd.DataFrame:
+    """Explode a series matrix to (id, pos, value) rows for the SQL oracle;
+    ``ids`` default to row positions."""
+    n, ln = mat.shape
+    ids = np.arange(n) if ids is None else np.asarray(ids)
+    return pd.DataFrame({
+        idcol: np.repeat(ids, ln),
+        "pos": np.tile(np.arange(ln), n),
+        "value": mat.astype(np.float64).ravel(),
+    })
+
+
+#: Brute-force k-NN in SQL over ``data_long`` / ``queries_long`` tables made
+#: by ``long_table``, ranked by ``(d2, series_id)``.
+KNN_SQL = """
+WITH d AS (
+  SELECT q.query_id, s.series_id,
+         SUM((q.value - s.value) * (q.value - s.value)) AS d2
+  FROM queries_long q JOIN data_long s USING (pos)
+  GROUP BY q.query_id, s.series_id
+)
+SELECT query_id, series_id, SQRT(d2) AS dist,
+       ROW_NUMBER() OVER (PARTITION BY query_id ORDER BY d2, series_id) AS rank
+FROM d QUALIFY rank <= {k}
+"""
 
 
 def mindist2_ref(qvals, word, edges, weights) -> float:

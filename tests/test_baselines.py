@@ -43,11 +43,12 @@ def test_results_sorted(engine):
         assert [d for d, _ in r] == sorted(d for d, _ in r)
 
 
-@pytest.mark.parametrize("block,head", [(1, 1), (7, 16), (512, 48), (512, 1000)])
-def test_ucr_blocking_does_not_change_result(block, head):
-    X = znormed(100, 48, seed=13)
+@pytest.mark.parametrize("n_series", [1, 2047, 2048, 2049, 4097])
+def test_ucr_blocking_does_not_change_result(n_series):
+    """Collections ending just before, at and after a block seam."""
+    X = znormed(n_series, 48, seed=13)
     Q = znormed(3, 48, seed=14)
-    got = ucr_knn(X, Q, k=4, block=block, head=head)
+    got = ucr_knn(X, Q, k=4)
     exp = flat_knn(X, Q, k=4)
     for a, b in zip(got, exp):
         assert [i for _, i in a] == [i for _, i in b]

@@ -1,8 +1,8 @@
-"""Unit tests for the Euclidean distance kernels."""
+"""Unit tests for the Euclidean distance kernels and the shared top-k."""
 import numpy as np
 import pytest
 
-from repro.core.distance import ed, ed2, ed2_batch
+from repro.core.distance import ed, ed2, ed2_batch, select_topk
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -120,3 +120,12 @@ def test_abandon_empty_and_repeated_rows():
     got = ed2_batch(q, X, rows=np.array([3, 1, 3, 3, 1]))
     assert got[0] == got[2] == got[3] and got[1] == got[4]
     np.testing.assert_allclose(got, _direct_d2(q, X[[3, 1, 3, 3, 1]]), rtol=1e-12)
+
+
+def test_select_topk_orders_by_distance_then_id():
+    d2 = np.array([2.0, 1.0, np.inf, 1.0, 0.5, 1.0])
+    ids = np.array([9, 8, 0, 3, 7, 5])
+    assert d2[select_topk(d2, ids, 3)].tolist() == [0.5, 1.0, 1.0]
+    assert ids[select_topk(d2, ids, 3)].tolist() == [7, 3, 5]
+    assert ids[select_topk(d2, ids, 99)].tolist() == [7, 3, 5, 8, 9, 0]
+    assert select_topk(d2[:0], ids[:0], 2).shape == (0,)

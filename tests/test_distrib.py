@@ -15,7 +15,7 @@ from repro.distrib.transform import WORDS_SCHEMA, _array_literal
 from repro.oracle import assert_equivalent
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import mindist2_table
-from tests.helpers import znormed
+from tests.helpers import KNN_SQL, long_table, znormed
 
 N, LEN, NPART = 300, 64, 4
 
@@ -39,29 +39,6 @@ def df(spark, data):
 @pytest.fixture(scope="module")
 def summary(df):
     return fit_sfa_spark(df, fraction=0.5, l=8, alphabet=32, seed=1)
-
-
-def _long(mat: np.ndarray, idcol: str) -> pd.DataFrame:
-    """Explode a series matrix to (id, pos, value) rows for the SQL oracle."""
-    n, ln = mat.shape
-    return pd.DataFrame({
-        idcol: np.repeat(np.arange(n), ln),
-        "pos": np.tile(np.arange(ln), n),
-        "value": mat.astype(np.float64).ravel(),
-    })
-
-
-KNN_SQL = """
-WITH d AS (
-  SELECT q.query_id, s.series_id,
-         SUM((q.value - s.value) * (q.value - s.value)) AS d2
-  FROM queries_long q JOIN data_long s USING (pos)
-  GROUP BY q.query_id, s.series_id
-)
-SELECT query_id, series_id, SQRT(d2) AS dist,
-       ROW_NUMBER() OVER (PARTITION BY query_id ORDER BY d2, series_id) AS rank
-FROM d QUALIFY rank <= {k}
-"""
 
 
 # ------------------------------------------------------------------ dataset
@@ -141,8 +118,8 @@ def test_exact_knn_against_duckdb_oracle(spark, df, data, summary, method):
     k = 2
     res = exact_knn(df, Q, k=k, method=method, summary=summary, leaf_size=32)
     assert_equivalent(res, KNN_SQL.format(k=k),
-                      data_long=_long(X, "series_id"),
-                      queries_long=_long(Q, "query_id"))
+                      data_long=long_table(X, "series_id"),
+                      queries_long=long_table(Q, "query_id"))
 
 
 def test_exact_knn_requires_summary_for_sofa(df, data):
@@ -238,6 +215,23 @@ def test_gemini_sql_rejects_bad_query_before_any_job(spark, df, data, summary, b
     assert sc.statusTracker().getJobIdsForGroup("gemini-bad-query") == []
 
 
+@pytest.mark.parametrize("path", ["exact_knn", "gemini_knn_sql"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_spark_paths_reject_k_below_one_before_any_job(spark, df, data, summary, path, k):
+    dfw = with_words(df, summary)
+    sc = spark.sparkContext
+    sc.setJobGroup("k-below-one", "rejected on the driver")
+    try:
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            if path == "exact_knn":
+                exact_knn(df, data[1], k=k, method="sofa", summary=summary)
+            else:
+                gemini_knn_sql(dfw, summary, data[1][0], k=k)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup("k-below-one") == []
+
+
 def test_gemini_sql_plan_oracle(spark, df, data, summary):
     X, Q = data
     dfw = with_words(df, summary)
@@ -253,8 +247,8 @@ def test_gemini_sql_plan_oracle(spark, df, data, summary):
            ROW_NUMBER() OVER (ORDER BY d2, series_id) AS rank
     FROM d QUALIFY rank <= 2
     """
-    assert_equivalent(out, sql, data_long=_long(X, "series_id"),
-                      queries_long=_long(Q[1][None, :], "query_id"))
+    assert_equivalent(out, sql, data_long=long_table(X, "series_id"),
+                      queries_long=long_table(Q[1][None, :], "query_id"))
 
 
 def test_gemini_sql_empty_input(spark, df, data, summary):

@@ -1,10 +1,17 @@
-"""Every engine rejects non-finite and wrong-length input with ValueError
-instead of answering with invented neighbours."""
+"""Every engine rejects non-finite and wrong-length input and ``k < 1``
+with ValueError instead of answering with invented neighbours, and
+answers an empty collection with no neighbours."""
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from repro.baselines import flat_knn, ucr_knn
+from repro.index import build_messi, build_sofa
+from repro.summaries.sfa import SFASummary
+from tests.helpers import znormed
 
 CASES = ["nan query", "nan query on duplicates", "inf query",
          "short query", "nan row", "inf row"]
@@ -57,3 +64,24 @@ def test_rejects_non_finite_and_wrong_length(engine):
                          check=True).stdout
     got = dict(line.rsplit(":", 1) for line in out.splitlines())
     assert got == dict.fromkeys(CASES, "ValueError")
+
+
+def _knn(engine, X, Q, k):
+    if engine in ("sofa", "messi"):
+        idx = build_sofa(X, summary=SFASummary.fit(znormed(64, 32), l=8, alphabet=16),
+                         leaf_size=16) if engine == "sofa" else build_messi(X, leaf_size=16)
+        return [idx.knn(q, k=k) for q in Q]
+    return (ucr_knn if engine == "ucr" else flat_knn)(X, Q, k=k)
+
+
+@pytest.mark.parametrize("engine", ["sofa", "messi", "ucr", "flat"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_rejects_k_below_one(engine, k):
+    X = znormed(50, 32)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        _knn(engine, X, X[:2], k)
+
+
+@pytest.mark.parametrize("engine", ["sofa", "messi", "ucr", "flat"])
+def test_empty_collection_answers_empty(engine):
+    assert _knn(engine, np.zeros((0, 32), np.float32), znormed(3, 32), 2) == [[], [], []]

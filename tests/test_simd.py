@@ -1,12 +1,12 @@
-"""Unit tests for the batched mindist kernels: the table-gather word
-kernel and the mask-blend leaf-box kernel (Algorithm 3)."""
+"""Unit tests for the batched mindist kernels: the table gather over words
+and its clipped form over leaf symbol boxes (Algorithm 3)."""
 import numpy as np
 import pytest
 
 from repro.index import build_sofa
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
-from repro.summaries.simd import batch_interval_mindist2, batch_mindist2
+from repro.summaries.simd import batch_interval_mindist2, batch_mindist2, mindist2_table
 from tests.helpers import mindist2_ref, znormed
 
 
@@ -63,18 +63,58 @@ def test_table_kernel_edge_cases_match_reference(kind, alphabet):
         assert batch_mindist2(qv, words[:0], edges, s.weights).shape == (0,)
 
 
+def _box_ref(qv, lo, hi, edges, weights):
+    """``mindist2_ref`` of each symbol box ``[lo, hi]`` as a one-symbol
+    alphabet ``[edges[lo], edges[hi + 1])``."""
+    cols = np.arange(edges.shape[0])
+    lo, hi = np.asarray(lo, np.int64), np.asarray(hi, np.int64)
+    return [mindist2_ref(qv, np.zeros(len(cols), np.int64),
+                         np.stack([edges[cols, a], edges[cols, b + 1]], axis=1), weights)
+            for a, b in zip(lo, hi)]
+
+
 def test_interval_batch_matches_mindist_ref():
     """The batched box kernel equals the scalar reference run on each
-    leaf box as a one-symbol alphabet ``[lo, hi)``."""
+    leaf's symbol box."""
     X = znormed(200, 64, seed=11)
     for leaf_size in (1, 7, 64):
         idx = build_sofa(X, l=8, alphabet=256, leaf_size=leaf_size)
         s = idx.summary
         qv = s.approx(znormed(1, 64, seed=13))[0]
-        got = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.weights)
-        ref = [mindist2_ref(qv, np.zeros(8, np.int64), np.stack([lo, hi], axis=1),
-                            s.weights) for lo, hi in zip(idx.leaf_lo, idx.leaf_hi)]
+        got = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.edges, s.weights)
+        ref = _box_ref(qv, idx.leaf_lo, idx.leaf_hi, s.edges, s.weights)
         np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["sax", "sfa"])
+@pytest.mark.parametrize("alphabet", [2, 8, 256])
+def test_interval_kernel_edge_cases_match_reference(kind, alphabet):
+    """Query values on an interior edge, below the first finite edge and
+    above the last; boxes with ``lo == hi`` (at the +-inf bins too), boxes
+    ending or starting at the query's edge, and the full box, which gives
+    0; with and without the query's table."""
+    s = _summary(kind, alphabet=alphabet)
+    l, edges = s.l, s.edges
+    rng = np.random.default_rng(alphabet + 1)
+    cols = np.arange(l)
+    interior = rng.integers(1, alphabet, l)
+    below, above = edges[:, 1] - 1.5, edges[:, -2] + 1.5
+    queries = {"on_edge": edges[cols, interior], "below_first": below,
+               "above_last": above, "mixed": np.where(cols % 2, below, above)}
+    pair = np.sort(rng.integers(0, alphabet, (20, 2, l)), axis=1)
+    lo = np.vstack([np.zeros(l), np.full(l, alphabet - 1), interior, interior - 1,
+                    np.zeros(l), interior, pair[:, 0]]).astype(np.uint8)
+    hi = np.vstack([np.zeros(l), np.full(l, alphabet - 1), interior, interior - 1,
+                    interior - 1, np.full(l, alphabet - 1), pair[:, 1]]).astype(np.uint8)
+    full_lo, full_hi = np.zeros((1, l), np.uint8), np.full((1, l), alphabet - 1, np.uint8)
+    for name, qv in queries.items():
+        got = batch_interval_mindist2(qv, lo, hi, edges, s.weights)
+        np.testing.assert_allclose(got, _box_ref(qv, lo, hi, edges, s.weights),
+                                   atol=1e-12, err_msg=name)
+        table = mindist2_table(qv, edges)
+        assert np.array_equal(
+            batch_interval_mindist2(qv, lo, hi, edges, s.weights, table=table), got)
+        assert batch_interval_mindist2(qv, full_lo, full_hi, edges, s.weights)[0] == 0.0
 
 
 def test_empty_batch():

@@ -53,10 +53,13 @@ def test_leaf_words_match_leaf_symbols():
         for leaf_size in LEAF_SIZES:
             idx = build(X, leaf_size=leaf_size)
             edges, cols = idx.summary.edges, np.arange(idx.summary.l)
+            assert idx.leaf_lo.dtype == idx.leaf_hi.dtype == np.uint8
+            lo = edges[cols, idx.leaf_lo.astype(np.int64)]
+            hi = edges[cols, idx.leaf_hi.astype(np.int64) + 1]
             w = idx.words_perm.astype(np.int64)
-            leaf = np.repeat(np.arange(len(idx.leaf_lo)), np.diff(idx.leaf_start))
-            assert (idx.leaf_lo[leaf] <= edges[cols, w]).all()
-            assert (edges[cols, w + 1] <= idx.leaf_hi[leaf]).all()
+            leaf = np.repeat(np.arange(len(lo)), np.diff(idx.leaf_start))
+            assert (lo[leaf] <= edges[cols, w]).all()
+            assert (edges[cols, w + 1] <= hi[leaf]).all()
 
 
 @pytest.mark.parametrize("name,build", BUILDERS)
@@ -69,7 +72,7 @@ def test_leaf_box_lbd_bounds_member_words(name, build, leaf_size):
     s = idx.summary
     for q in znormed(3, 64, seed=9):
         qv = s.approx(q[None, :])[0]
-        box = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.weights)
+        box = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.edges, s.weights)
         for lid in range(len(box)):
             for w in idx.words_perm[idx.leaf_start[lid]:idx.leaf_start[lid + 1]]:
                 assert box[lid] <= mindist2_ref(qv, w, s.edges, s.weights) * (1 + 1e-12)
