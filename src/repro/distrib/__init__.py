@@ -3,7 +3,7 @@
 MESSI/SOFA parallelize one in-memory index across threads; here each
 Spark partition owns an independent per-partition engine (SOFA/MESSI
 tree, UCR scan, or flat GEMM scan) built inside the executor, and exact
-global k-NN = per-partition exact top-k + a Spark SQL window merge.
+global k-NN = per-partition exact top-k + a driver merge of those rows.
 MCB's 1 % sampling step runs as ``DataFrame.sample`` (``mcb``), and the
 GEMINI lower-bound filter is also exposed as a pure DataFrame plan of
 Spark SQL lambda expressions over the word and series arrays with a

@@ -1,23 +1,27 @@
-"""Distributed exact k-NN: per-partition engines + Spark SQL top-k merge.
+"""Distributed exact k-NN: per-partition engines + a driver-side top-k merge.
 
 ``exact_knn`` is the reproduction's main query path. Each partition of
 the ``(id, series)`` DataFrame builds (or fetches from the executor
 cache) its engine — a SOFA or MESSI tree, a UCR early-abandon scan, or
 a FAISS-style flat GEMM scan — answers the whole query batch locally
-and emits its local top-k per query; a window function then keeps the
-global k. Exactness: the global k-NN of a partitioned collection is
+and emits its local top-k per query. The driver collects those rows (at
+most partitions × queries × k) in one job and keeps the global k per
+query. Exactness: the global k-NN of a partitioned collection is
 contained in the union of per-partition exact k-NNs.
 
 This mirrors the paper's setup: MESSI/SOFA answer queries one at a time
 with many workers on one index; here the batch of queries crosses
 independent partition indexes, and the merge is the synchronization
-point (like UCR-Suite-P's end-of-scan combine).
+point (like UCR-Suite-P's end-of-scan combine). A combine over so few
+rows needs no shuffle.
 
 **Timing note.** Every action re-ships each partition's series through
 Arrow (Spark's execution model); ``cache_token`` only avoids *rebuilding*
-the engine on a reused worker. At tier sizes this fixed transport cost
-is the dominant per-action term for every method equally; the
-experiment harness therefore offers a marginal-cost protocol
+the engine on a reused worker. At tier sizes the shipping itself is
+cheap; the dominant per-action term is the fixed cost of a stage that
+runs Python (about 0.5 s for a no-op ``mapInPandas`` under ``local[4]``
+on a 4-core host), equal for every method. The experiment harness
+therefore offers a marginal-cost protocol
 (``repro.experiments.runner.timed_search(mode='marginal')``) that
 cancels it out. See EXPERIMENTS.md § Table II.
 """
@@ -26,12 +30,13 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark import TaskContext
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
+from pyspark.sql.types import (DoubleType, IntegerType, LongType, StructField,
+                               StructType)
 
 from repro.baselines.flat_l2 import flat_knn
 from repro.baselines.ucr_scan import ucr_knn
-from repro.core.distance import check_k, check_series
+from repro.core.distance import check_k, check_series, select_topk
 from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
@@ -39,7 +44,14 @@ from repro.index.sofa import build_sofa
 from repro.summaries.sfa import SFASummary
 
 METHODS = ("sofa", "messi", "ucr", "flat")
-RESULT_SCHEMA = "query_id long, series_id long, dist double"
+# Types rather than DDL strings, which Spark would parse in the JVM on
+# every call (about 5-10 ms each).
+RESULT_SCHEMA = StructType([StructField("query_id", LongType()),
+                            StructField("series_id", LongType()),
+                            StructField("dist", DoubleType())])
+MERGED_SCHEMA = StructType([*RESULT_SCHEMA.fields,
+                            StructField("rank", IntegerType(), nullable=False)])
+
 
 def _build_engine(batches: Iterator[pd.DataFrame], method: str,
                   summary, leaf_size: int, l: int, alphabet: int):
@@ -93,12 +105,19 @@ def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
     return run
 
 
-def _local_results(df: DataFrame, queries, k, method, summary, leaf_size, l,
-                   alphabet, token) -> DataFrame:
-    """Per-partition top-k rows (engine built or fetched per partition)."""
-    full = _full_pass(method, queries, k, summary, leaf_size, l, alphabet,
-                      token)
-    return df.mapInPandas(full, schema=RESULT_SCHEMA)
+def _merge(local: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Global top-k from per-partition rows: per query, the ``k`` smallest
+    ``(dist, series_id)`` rows, ranked 1..k, in ``MERGED_SCHEMA`` dtypes."""
+    qid = local["query_id"].to_numpy(np.int64)
+    sid = local["series_id"].to_numpy(np.int64)
+    dist = local["dist"].to_numpy(np.float64)
+    by_query = np.argsort(qid, kind="stable")
+    groups = np.split(by_query, np.flatnonzero(np.diff(qid[by_query])) + 1)
+    top = [g[select_topk(dist[g], sid[g], k)] for g in groups]
+    keep = np.concatenate(top)
+    rank = np.concatenate([np.arange(1, len(t) + 1, dtype=np.int32) for t in top])
+    return pd.DataFrame({"query_id": qid[keep], "series_id": sid[keep],
+                         "dist": dist[keep], "rank": rank})
 
 
 def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
@@ -108,8 +127,10 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     """Exact k-NN of each query against a ``(id, series)`` DataFrame.
 
     Returns a Spark DataFrame ``(query_id, series_id, dist, rank)`` with
-    ``rank`` 1..k per query (ties broken by series_id), computed by the
-    Catalyst plan: per-partition results -> window row_number -> filter.
+    ``rank`` 1..k per query (ties broken by series_id). The call is eager:
+    it runs its Spark job when called, collects the per-partition top-k
+    rows and merges them on the driver, and the returned frame holds the
+    merged rows.
 
     For ``method='sofa'`` pass a pre-fit ``summary`` (from
     ``repro.distrib.mcb.fit_sfa_spark``) so every partition quantizes
@@ -127,9 +148,7 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
                          "(use repro.distrib.mcb.fit_sfa_spark)")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     check_series(queries, "query", summary.n if summary is not None else None)
-    local = _local_results(df, queries, k, method, summary, leaf_size, l,
-                           alphabet, cache_token)
-    w = Window.partitionBy("query_id").orderBy(F.col("dist").asc(),
-                                               F.col("series_id").asc())
-    return (local.withColumn("rank", F.row_number().over(w))
-            .filter(F.col("rank") <= k))
+    full = _full_pass(method, queries, k, summary, leaf_size, l, alphabet,
+                      cache_token)
+    local = df.mapInPandas(full, schema=RESULT_SCHEMA).toPandas()
+    return df.sparkSession.createDataFrame(_merge(local, k), MERGED_SCHEMA)

@@ -3,6 +3,8 @@ the GEMINI DataFrame plan, and the DuckDB oracle on all of them."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import (DoubleType, IntegerType, LongType, StructField,
+                               StructType)
 
 from repro.baselines import flat_knn
 from repro.core.znorm import znormalize
@@ -10,7 +12,7 @@ from repro.datasets.registry import make_dataset, make_queries
 from repro.distrib import (exact_knn, fit_sfa_spark, gemini_knn_sql,
                            series_df, to_matrix, with_words)
 from repro.distrib import cache
-from repro.distrib.search import METHODS, _full_pass
+from repro.distrib.search import METHODS, _full_pass, _merge
 from repro.distrib.transform import WORDS_SCHEMA, _array_literal
 from repro.oracle import assert_equivalent
 from repro.summaries.sfa import SFASummary
@@ -177,6 +179,115 @@ def test_exact_knn_single_partition(spark, data, summary):
     exp = flat_knn(X, Q, k=1)
     got = res.sort_values("query_id").series_id.tolist()
     assert got == [exp[qi][0][1] for qi in range(len(Q))]
+
+
+MERGED = StructType([StructField("query_id", LongType()),
+                     StructField("series_id", LongType()),
+                     StructField("dist", DoubleType()),
+                     StructField("rank", IntegerType(), nullable=False)])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_exact_knn_empty_inputs_keep_schema(df, data, summary, method):
+    X, Q = data
+    for frame, queries in ((df.limit(0), Q), (df, Q[:0])):
+        res = exact_knn(frame, queries, k=3, method=method, summary=summary, leaf_size=32)
+        assert res.schema == MERGED
+        out = res.toPandas()
+        assert out.empty
+        assert out.dtypes.tolist() == ["int64", "int64", "float64", "int32"]
+
+
+def test_exact_knn_runs_at_most_two_jobs_without_exchange(spark, df, data, summary):
+    sc = spark.sparkContext
+    sc.setJobGroup("exact-knn-one-action", "per-partition top-k, merged on the driver")
+    try:
+        res = exact_knn(df, data[1], k=3, method="sofa", summary=summary, leaf_size=32)
+        assert len(res.toPandas()) == 3 * len(data[1])
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert 1 <= len(sc.statusTracker().getJobIdsForGroup("exact-knn-one-action")) <= 2
+    plan = res._jdf.queryExecution().executedPlan().toString()
+    for node in ("Exchange", "Window"):
+        assert node not in plan
+
+
+# ------------------------------------------------------------- driver merge
+def _partition_rows(*parts, seed=0):
+    """Per-partition ``(query_id, series_id, dist)`` rows as the driver
+    collects them: concatenated, in no particular order."""
+    rows = [r for part in parts for r in part]
+    pdf = pd.DataFrame(rows, columns=["query_id", "series_id", "dist"]).astype(
+        {"query_id": np.int64, "series_id": np.int64, "dist": np.float64})
+    order = np.random.default_rng(seed).permutation(len(pdf))
+    return pdf.iloc[order].reset_index(drop=True)
+
+
+def _lexsort_merge(local, k):
+    """Reference: one ``(query_id, dist, series_id)`` lexsort, first k per query."""
+    q, s, d = (local[c].to_numpy() for c in ("query_id", "series_id", "dist"))
+    order = np.lexsort((s, d, q))
+    out = []
+    for qi in np.unique(q):
+        rows = order[q[order] == qi][:k]
+        out += [(qi, s[i], d[i], r) for r, i in enumerate(rows, 1)]
+    return out
+
+
+def _assert_merged(local, k):
+    got = _merge(local, k)
+    assert got.columns.tolist() == ["query_id", "series_id", "dist", "rank"]
+    assert got.dtypes.tolist() == ["int64", "int64", "float64", "int32"]
+    assert list(got.itertuples(index=False, name=None)) == _lexsort_merge(local, k)
+    return got
+
+
+_ULP = np.nextafter(0.3, 1.0)
+
+MERGE_CASES = {
+    # the same distance in three partitions; the larger ids come first
+    "ties_across_partitions": ([(0, 9, 1.0), (0, 4, 2.0)], [(0, 7, 1.0), (0, 2, 1.5)],
+                               [(0, 3, 1.0), (0, 1, 2.0)]),
+    # 0.1 + 0.2 is one ulp above 0.3; the exact duplicates order by id
+    "float_duplicates": ([(1, 5, 0.1 + 0.2), (1, 8, 0.3)], [(1, 6, 0.3), (1, 2, _ULP)],
+                         [(1, 0, 0.3), (1, 4, 0.1 + 0.2)]),
+    # query 0 has fewer than k rows in total
+    "fewer_than_k": ([(0, 1, 0.5)], [(0, 0, 0.5), (2, 3, 1.0)], []),
+    # query 1 has no rows at all
+    "query_without_rows": ([(0, 1, 2.0), (2, 5, 1.0)], [(2, 6, 1.0), (0, 2, 0.0)]),
+    # every partition empty: an empty frame, still with the four typed columns
+    "no_rows": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_merge_matches_lexsort_reference(case, k):
+    _assert_merged(_partition_rows(*MERGE_CASES[case]), k)
+
+
+def test_merge_breaks_ties_by_series_id_and_ranks_from_one():
+    got = _assert_merged(_partition_rows(*MERGE_CASES["ties_across_partitions"]), 4)
+    assert got.series_id.tolist() == [3, 7, 9, 2]
+    assert got["rank"].tolist() == [1, 2, 3, 4]
+    got = _assert_merged(_partition_rows(*MERGE_CASES["float_duplicates"]), 6)
+    assert got.series_id.tolist() == [0, 6, 8, 2, 4, 5]
+
+
+def test_merge_skips_a_query_without_rows_and_keeps_short_ones():
+    got = _assert_merged(_partition_rows(*MERGE_CASES["query_without_rows"]), 10)
+    assert got.query_id.tolist() == [0, 0, 2, 2]
+    got = _assert_merged(_partition_rows(*MERGE_CASES["fewer_than_k"]), 10)
+    assert got.query_id.tolist() == [0, 0, 2]
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_merge_random_ties_match_lexsort_reference(k):
+    g = np.random.default_rng(k)
+    parts = [[(int(g.integers(0, 7)), int(sid), float(g.integers(0, 4)))
+              for sid in g.choice(1000, size=int(g.integers(0, 30)), replace=False)]
+             for _ in range(5)]
+    _assert_merged(_partition_rows(*parts, seed=k), k)
 
 
 # -------------------------------------------------- GEMINI as DataFrame plan
