@@ -8,6 +8,8 @@ MCB's 1 % sampling step runs as ``DataFrame.sample`` (``mcb``), and the
 GEMINI lower-bound filter is also exposed as a pure DataFrame plan of
 Spark SQL lambda expressions over the word and series arrays with a
 per-query table literal (``transform``) so the DuckDB oracle can check it.
+Every Python stage is a ``mapInArrow`` that reads the series column as
+Arrow ``list<double>`` through ``dataset`` (``to_matrix``/``read_rows``).
 """
 from repro.distrib.dataset import series_df, to_matrix
 from repro.distrib.mcb import fit_sfa_spark

@@ -1,7 +1,7 @@
 """Executor-process-local engine cache.
 
 The paper builds the index once and answers many queries against it; a
-naive ``mapInPandas`` would rebuild the per-partition index on every
+naive ``mapInArrow`` stage would rebuild the per-partition index on every
 action. Spark's Python workers are reused within a session
 (``spark.python.worker.reuse`` defaults to true), so a module-level dict
 keyed by ``(dataset_token, method, partition_id)`` keeps the built

@@ -6,7 +6,6 @@ draws the subsample distributedly, the tiny sample is collected to the
 driver, fitted with ``SFASummary.fit``, and the resulting summary
 object (a few KiB of edges) rides to executors in task closures.
 """
-import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.distrib.dataset import to_matrix
@@ -20,10 +19,10 @@ def fit_sfa_spark(df: DataFrame, *, fraction: float = 0.01, l: int = 16,
                   selection: str = "variance", n_candidate_coeffs: int = 16,
                   seed: int = 0) -> SFASummary:
     """Learn an SFA summary from a ``fraction`` sample of a series DataFrame."""
-    sample = df.sample(fraction=min(1.0, fraction), seed=seed).toPandas()
-    if len(sample) < _MIN_SAMPLE:
-        sample = df.limit(_MIN_SAMPLE).toPandas()
+    sample = df.sample(fraction=min(1.0, fraction), seed=seed).toArrow()
+    if sample.num_rows < _MIN_SAMPLE:
+        sample = df.limit(_MIN_SAMPLE).toArrow()
     _, X = to_matrix(sample)
-    return SFASummary.fit(np.asarray(X, dtype=np.float64), l=l, alphabet=alphabet,
+    return SFASummary.fit(X, l=l, alphabet=alphabet,
                           binning=binning, selection=selection,
                           n_candidate_coeffs=n_candidate_coeffs)

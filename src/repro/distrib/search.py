@@ -15,13 +15,14 @@ independent partition indexes, and the merge is the synchronization
 point (like UCR-Suite-P's end-of-scan combine). A combine over so few
 rows needs no shuffle.
 
-**Timing note.** Every action re-ships each partition's series through
-Arrow (Spark's execution model); ``cache_token`` only avoids *rebuilding*
-the engine on a reused worker. At tier sizes the shipping itself is
-cheap; the dominant per-action term is the fixed cost of a stage that
-runs Python (about 0.5 s for a no-op ``mapInPandas`` under ``local[4]``
-on a 4-core host), equal for every method. The experiment harness
-therefore offers a marginal-cost protocol
+**Timing note.** Every action re-ships each partition's series as
+Arrow ``list<double>`` buffers (Spark's execution model); ``cache_token``
+only avoids *rebuilding* the engine on a reused worker. At tier sizes the
+shipping itself is cheap; the dominant per-action term is the fixed cost
+of a stage that runs Python, equal for every method. A no-op Python stage
+over the 12,000 × 256 LenDB analog under ``local[4]`` on a 4-core host
+took 0.16-0.19 s on a quiet host and 0.45-0.75 s under load. The
+experiment harness therefore offers a marginal-cost protocol
 (``repro.experiments.runner.timed_search(mode='marginal')``) that
 cancels it out. See EXPERIMENTS.md § Table II.
 """
@@ -29,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark import TaskContext
 from pyspark.sql import DataFrame
 from pyspark.sql.types import (DoubleType, IntegerType, LongType, StructField,
@@ -53,12 +55,13 @@ MERGED_SCHEMA = StructType([*RESULT_SCHEMA.fields,
                             StructField("rank", IntegerType(), nullable=False)])
 
 
-def _build_engine(batches: Iterator[pd.DataFrame], method: str,
+def _build_engine(batches: Iterator[pa.RecordBatch], method: str,
                   summary, leaf_size: int, l: int, alphabet: int):
-    chunks = [b for b in batches if len(b)]
+    chunks = [b for b in batches if b.num_rows]
     if not chunks:
         return None
-    ids, X = to_matrix(pd.concat(chunks, ignore_index=True))
+    ids, X = to_matrix(pa.Table.from_batches(chunks))
+    X = X.astype(np.float32)
     if method == "sofa":
         return ("tree", build_sofa(X, ids=ids, summary=summary, l=l,
                                    alphabet=alphabet, leaf_size=leaf_size))
@@ -68,22 +71,26 @@ def _build_engine(batches: Iterator[pd.DataFrame], method: str,
     return ("scan", (ids, X))
 
 
-def _answer(engine, method: str, queries: np.ndarray, k: int) -> pd.DataFrame:
+def _answer(engine, method: str, queries: np.ndarray, k: int) -> pa.RecordBatch:
     kind, obj = engine
     if kind == "tree":
         res = [obj.knn(q.astype(np.float32), k=k) for q in queries]
     else:
         ids, X = obj
         res = (ucr_knn if method == "ucr" else flat_knn)(X, queries, k=k, ids=ids)
-    return pd.DataFrame([(qi, sid, dist) for qi, r in enumerate(res) for dist, sid in r],
-                        columns=["query_id", "series_id", "dist"])
+    rows = sum(len(r) for r in res)
+    return pa.RecordBatch.from_arrays(
+        [np.repeat(np.arange(len(res), dtype=np.int64), [len(r) for r in res]),
+         np.fromiter((sid for r in res for _, sid in r), np.int64, rows),
+         np.fromiter((dist for r in res for dist, _ in r), np.float64, rows)],
+        names=RESULT_SCHEMA.names)
 
 
 def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
-    """mapInPandas closure: build (or fetch) engine from shipped data and
+    """mapInArrow closure: build (or fetch) engine from shipped data and
     answer the query batch."""
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         ctx = TaskContext.get()
         pid = ctx.partitionId() if ctx is not None else -1
 
@@ -139,6 +146,9 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     docstring); it must uniquely identify (dataset, partitioning,
     method parameters). Raises ``ValueError`` for ``k < 1``, a non-finite
     query, or one whose length differs from the summary's series length.
+    The job fails, with the workers' ``ValueError``, on a partition whose
+    series ``repro.distrib.dataset.read_rows`` rejects (null, ragged or
+    non-finite) or whose length differs from the queries'.
     """
     check_k(k)
     if method not in METHODS:
@@ -150,5 +160,5 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     check_series(queries, "query", summary.n if summary is not None else None)
     full = _full_pass(method, queries, k, summary, leaf_size, l, alphabet,
                       cache_token)
-    local = df.mapInPandas(full, schema=RESULT_SCHEMA).toPandas()
+    local = df.mapInArrow(full, schema=RESULT_SCHEMA).toPandas()
     return df.sparkSession.createDataFrame(_merge(local, k), MERGED_SCHEMA)

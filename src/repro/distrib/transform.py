@@ -24,11 +24,12 @@ inspectable by Catalyst and checkable by the DuckDB oracle.
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.distance import check_k, check_series
+from repro.distrib.dataset import list_array, read_rows
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import PRUNE_SLACK, mindist2_table
 
@@ -37,19 +38,24 @@ WORDS_SCHEMA = "id long, series array<double>, word array<int>"
 
 def with_words(df: DataFrame, summary: SymbolicSummary) -> DataFrame:
     """Add the symbolic word of every series as a column (distributed
-    Algorithm 2 / iSAX transform)."""
+    Algorithm 2 / iSAX transform).
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if not len(pdf):
+    The ``id`` and ``series`` Arrow columns pass through as shipped. The
+    action that runs the plan raises for a series ``read_rows`` rejects
+    (null, ragged or non-finite) or one whose length is not ``summary.n``.
+    """
+
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for batch in batches:
+            if not batch.num_rows:
                 continue
-            X = np.stack(pdf["series"].to_numpy())
-            words = summary.words(X).astype(np.int32)
-            yield pd.DataFrame({"id": pdf["id"].to_numpy(),
-                                "series": pdf["series"].to_numpy(),
-                                "word": list(words)})
+            _, X = read_rows(batch)
+            words = list_array(summary.words(X).astype(np.int32))
+            yield pa.RecordBatch.from_arrays(
+                [batch.column("id"), batch.column("series"), words],
+                names=["id", "series", "word"])
 
-    return df.mapInPandas(run, schema=WORDS_SCHEMA)
+    return df.mapInArrow(run, schema=WORDS_SCHEMA)
 
 
 def _array_literal(values: np.ndarray):

@@ -10,12 +10,12 @@ aggregation finishes the mean. One Spark action evaluates *all*
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.distance import ed2_batch
-from repro.distrib.dataset import series_df
+from repro.distrib.dataset import read_rows, series_df
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
@@ -48,11 +48,11 @@ def tlb_spark(spark: SparkSession, eval_x: np.ndarray, queries: np.ndarray,
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     df = series_df(spark, eval_x, num_partitions=partitions)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if not len(pdf):
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for batch in batches:
+            if not batch.num_rows:
                 continue
-            X = np.stack(pdf["series"].to_numpy())
+            _, X = read_rows(batch)
             true = np.sqrt(ed2_batch(queries, X))  # (Q, N)
             mask = true > 1e-12
             labels, sums, cnts = [], [], []
@@ -66,9 +66,9 @@ def tlb_spark(spark: SparkSession, eval_x: np.ndarray, queries: np.ndarray,
                 labels.append(label)
                 sums.append(float(np.clip(ratio, 0.0, 1.0).sum()))
                 cnts.append(int(mask.sum()))
-            yield pd.DataFrame({"label": labels, "s": sums, "c": cnts})
+            yield pa.record_batch({"label": labels, "s": sums, "c": cnts})
 
-    agg = (df.mapInPandas(run, schema="label string, s double, c long")
+    agg = (df.mapInArrow(run, schema="label string, s double, c long")
            .groupBy("label").agg(F.sum("s").alias("s"), F.sum("c").alias("c"))
            .collect())
     return {r["label"]: (r["s"] / r["c"] if r["c"] else 1.0) for r in agg}

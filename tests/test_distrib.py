@@ -2,7 +2,10 @@
 the GEMINI DataFrame plan, and the DuckDB oracle on all of them."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+from pyspark.errors import PythonException
+from pyspark.sql import functions as F
 from pyspark.sql.types import (DoubleType, IntegerType, LongType, StructField,
                                StructType)
 
@@ -12,8 +15,10 @@ from repro.datasets.registry import make_dataset, make_queries
 from repro.distrib import (exact_knn, fit_sfa_spark, gemini_knn_sql,
                            series_df, to_matrix, with_words)
 from repro.distrib import cache
+from repro.distrib.dataset import read_rows, series_table
 from repro.distrib.search import METHODS, _full_pass, _merge
 from repro.distrib.transform import WORDS_SCHEMA, _array_literal
+from repro.experiments.tlb import fit_variants, tlb_spark
 from repro.oracle import assert_equivalent
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import mindist2_table
@@ -48,7 +53,7 @@ def test_series_df_roundtrip(spark, data):
     X, _ = data
     d = series_df(spark, X, num_partitions=3)
     assert d.rdd.getNumPartitions() == 3
-    ids, X2 = to_matrix(d.toPandas())
+    ids, X2 = to_matrix(d.toArrow())
     assert sorted(ids.tolist()) == list(range(N))
     np.testing.assert_allclose(X2, X[ids], atol=1e-6)
 
@@ -62,9 +67,9 @@ def test_series_df_rejects_non_finite_rows(spark, data, bad):
 
 
 def test_to_matrix_sorts_by_id():
-    pdf = pd.DataFrame({"id": [3, 1, 2],
-                        "series": [np.ones(4) * i for i in (3, 1, 2)]})
-    ids, X = to_matrix(pdf)
+    table = pa.table({"id": [3, 1, 2],
+                      "series": [np.ones(4) * i for i in (3, 1, 2)]})
+    ids, X = to_matrix(table)
     assert ids.tolist() == [1, 2, 3]
     np.testing.assert_allclose(X[:, 0], [1, 2, 3])
 
@@ -73,6 +78,112 @@ def test_series_df_custom_ids(spark):
     X = znormed(5, 16, seed=1)
     d = series_df(spark, X, ids=np.array([10, 20, 30, 40, 50]))
     assert sorted(r["id"] for r in d.select("id").collect()) == [10, 20, 30, 40, 50]
+
+
+def _layout(X, layout):
+    """``X`` as a C-order, Fortran-order or strided (non-contiguous) array."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    if layout == "F":
+        return np.asfortranarray(X)
+    big = np.zeros((2 * X.shape[0], 3 * X.shape[1]))
+    big[::2, ::3] = X
+    return big[::2, ::3]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_series_df_round_trips_bit_exactly(spark, layout):
+    g = np.random.default_rng(5)
+    X = g.standard_normal((40, 24))
+    X[0, :6] = [-0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 1.7976931348623157e308, -1e-300]
+    ids = g.permutation(40) * 7 + 2**40
+    Xl = _layout(X, layout)
+    assert Xl.flags.c_contiguous == (layout == "C")
+    got_ids, got = to_matrix(series_df(spark, Xl, ids=ids, num_partitions=3).toArrow())
+    order = np.argsort(ids)
+    assert got_ids.tolist() == ids[order].tolist()
+    assert np.array_equal(got.view(np.int64), X[order].view(np.int64))
+
+
+def test_series_df_keeps_each_id_in_its_hash_partition(spark):
+    ids = np.random.default_rng(6).permutation(200) * 13 - 500
+    d = series_df(spark, znormed(200, 8, seed=6), ids=ids, num_partitions=5)
+    ref = spark.createDataFrame([(int(i),) for i in ids], "id long").repartition(5, F.col("id"))
+
+    def where(frame):
+        rows = frame.select("id", F.spark_partition_id().alias("p")).collect()
+        return {r.id: r.p for r in rows}
+
+    assert where(d) == where(ref)
+
+
+def _list_column(rows):
+    return pa.array(rows, pa.list_(pa.float64()))
+
+
+def test_read_rows_handles_slices_chunks_and_zero_rows():
+    X = znormed(10, 8, seed=3).astype(np.float64)
+    table = series_table(X, ids=np.arange(10) + 100)
+    sliced = table.to_batches()[0].slice(3, 4)
+    ids, got = read_rows(sliced)
+    assert ids.tolist() == [103, 104, 105, 106]
+    assert np.array_equal(got, X[3:7])
+    chunked = pa.Table.from_batches([table.slice(0, 6).to_batches()[0],
+                                     table.slice(6).to_batches()[0]])
+    assert chunked.column("series").num_chunks == 2
+    ids, got = read_rows(chunked)
+    assert ids.tolist() == list(range(100, 110))
+    assert np.array_equal(got, X)
+    for empty in (table.slice(0, 0), table.to_batches()[0].slice(0, 0),
+                  pa.Table.from_batches([], table.schema)):
+        ids, got = read_rows(empty)
+        assert ids.shape == (0,) and got.shape[0] == 0
+
+
+#: Rows no reader may answer, and what the error names: one bad value, a
+#: null, ragged rows whose total length is still a multiple of the series
+#: length, or rows of length zero.
+BAD_ROWS = {"nan": "finite", "inf": "finite", "null value": "must not be null",
+            "null row": "must not be null", "ragged": "one non-zero length",
+            "empty rows": "one non-zero length"}
+
+
+def _bad_rows(case, X):
+    rows = [list(map(float, x)) for x in X]
+    if case == "nan":
+        rows[2][5] = np.nan
+    elif case == "inf":
+        rows[1][0] = -np.inf
+    elif case == "null value":
+        rows[3][4] = None
+    elif case == "null row":
+        rows[0] = None
+    elif case == "ragged":
+        rows[0], rows[1] = rows[0][:-1], rows[1] + [0.5]
+    elif case == "empty rows":
+        rows = [[] for _ in rows]
+    elif case == "short":  # every row one value shorter than the series length
+        rows = [r[:-1] for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@pytest.mark.parametrize("kind", ["table", "batch"])
+def test_read_rows_rejects_bad_rows(case, kind):
+    X = znormed(8, 16, seed=4)
+    table = pa.table({"id": np.arange(8), "series": _list_column(_bad_rows(case, X))})
+    data = table if kind == "table" else table.to_batches()[0]
+    with pytest.raises(ValueError, match=BAD_ROWS[case]):
+        read_rows(data)
+    with pytest.raises(ValueError, match=BAD_ROWS[case]):
+        to_matrix(data)
+
+
+def test_read_rows_rejects_null_id():
+    table = pa.table({"id": pa.array([0, None], pa.int64()),
+                      "series": _list_column([[1.0, 2.0], [3.0, 4.0]])})
+    with pytest.raises(ValueError, match="must not be null"):
+        read_rows(table)
 
 
 # ---------------------------------------------------------------------- mcb
@@ -161,12 +272,12 @@ def test_cache_hit_drains_shipped_rows(data):
     """A Python worker whose input is left unread is not reused, so a hit
     must still consume its partition's batches."""
     X, Q = data
-    pdf = pd.DataFrame({"id": np.arange(len(X)), "series": list(X.astype(np.float64))})
+    batch = series_table(X).to_batches()[0]
     run = _full_pass("flat", Q, 1, None, 128, 16, 256, "drain-test")
     try:
         for _ in range(2):  # build, then hit
-            batches = iter([pdf])
-            assert len(pd.concat(run(batches))) == len(Q)
+            batches = iter([batch])
+            assert sum(b.num_rows for b in run(batches)) == len(Q)
             assert next(batches, None) is None
     finally:
         cache.clear()
@@ -391,7 +502,7 @@ def test_gemini_sql_plan_has_no_python_stage(native_words, data, summary):
     out = gemini_knn_sql(native_words, summary, data[1][2], k=5)
     assert len(out.toPandas()) == 5
     plan = out._jdf.queryExecution().executedPlan().toString()
-    for node in ("ArrowEvalPython", "BatchEvalPython", "MapInPandas"):
+    for node in ("ArrowEvalPython", "BatchEvalPython", "MapInPandas", "MapInArrow"):
         assert node not in plan
 
 
@@ -455,3 +566,98 @@ def test_gemini_sql_single_row_frame(spark, dup):
         assert out.series_id.tolist() == [int(ids[0])]
         assert np.array_equal(out.dist.to_numpy(), _brute(X[:1], ids[:1], Q[2], 1)[1])
     one.unpersist()
+
+
+# ------------------------------------------- Arrow shipping in Python stages
+def _bad_frame(spark, case, X):
+    """One partition, one Arrow batch, rows from ``_bad_rows``: made without
+    ``series_df``, which would reject them on the driver."""
+    table = pa.table({"id": np.arange(len(X)), "series": _list_column(_bad_rows(case, X))})
+    return spark.createDataFrame(table).coalesce(1)
+
+
+#: In a Spark stage, rows of one length other than the summary's or the
+#: queries' are rejected too.
+SPARK_BAD = {**BAD_ROWS, "short": "length"}
+
+
+@pytest.mark.parametrize("case", sorted(SPARK_BAD))
+def test_with_words_rejects_bad_rows(spark, data, summary, case):
+    words = with_words(_bad_frame(spark, case, data[0][:8]), summary)
+    with pytest.raises(PythonException, match=f"ValueError: .*{SPARK_BAD[case]}"):
+        words.collect()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(SPARK_BAD))
+def test_exact_knn_rejects_bad_rows(spark, data, summary, method, case):
+    frame = _bad_frame(spark, case, data[0][:8])
+    with pytest.raises(PythonException, match=f"ValueError: .*{SPARK_BAD[case]}"):
+        exact_knn(frame, data[1], k=2, method=method, summary=summary, leaf_size=4)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_fit_sfa_spark_rejects_bad_rows(spark, data, case):
+    frame = _bad_frame(spark, case, data[0][:70])
+    with pytest.raises(ValueError, match=BAD_ROWS[case]):
+        fit_sfa_spark(frame, fraction=1.0, l=8, alphabet=32)
+
+
+def test_fit_sfa_spark_rejects_rows_too_short_for_the_word(spark, data):
+    frame = _bad_frame(spark, "short", data[0][:70, :9])
+    with pytest.raises(ValueError, match="candidate components"):
+        fit_sfa_spark(frame, fraction=1.0, l=8, alphabet=32)
+
+
+def test_full_pass_reads_split_and_zero_row_batches(data):
+    X, Q = data
+    batches = series_table(X).to_batches(max_chunksize=100)
+    empty = batches[0].slice(0, 0)
+    run = _full_pass("flat", Q, 2, None, 128, 16, 256, None)
+    out = pa.Table.from_batches(list(run(iter([empty, *batches, empty]))))
+    exp = flat_knn(X, Q, k=2)
+    assert out.column("query_id").to_pylist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert out.column("series_id").to_pylist() == [i for r in exp for _, i in r]
+    assert out.column("dist").to_pylist() == [d for r in exp for d, _ in r]
+
+
+def test_empty_partitions_answer_correctly(spark, data, summary):
+    X, Q = data
+    small = series_df(spark, X[:6], num_partitions=8)
+    assert 0 in small.rdd.glom().map(len).collect()
+    out = with_words(small, summary).toPandas().sort_values("id")
+    assert out.id.tolist() == list(range(6))
+    np.testing.assert_array_equal(np.stack(out.word.to_numpy()), summary.words(X[:6]))
+    exp = flat_knn(X[:6], Q, k=3)
+    for method in METHODS:
+        res = exact_knn(small, Q, k=3, method=method, summary=summary,
+                        leaf_size=4).toPandas().sort_values(["query_id", "rank"])
+        assert res.series_id.tolist() == [i for r in exp for _, i in r], method
+
+
+@pytest.fixture
+def collected_plans(spark, monkeypatch):
+    """Executed plans of every frame that ``toPandas`` or ``collect`` ran
+    while the test runs."""
+    plans = []
+    cls = type(spark.range(1))
+    for name in ("toPandas", "collect"):
+        def spy(self, *args, _run=getattr(cls, name), **kwargs):
+            out = _run(self, *args, **kwargs)
+            plans.append(self._jdf.queryExecution().executedPlan().toString())
+            return out
+        monkeypatch.setattr(cls, name, spy)
+    return plans
+
+
+@pytest.mark.parametrize("path", ["with_words", "exact_knn", "tlb_spark"])
+def test_python_stages_map_in_arrow(spark, df, data, summary, collected_plans, path):
+    if path == "with_words":
+        with_words(df, summary).collect()
+    elif path == "exact_knn":
+        exact_knn(df, data[1], k=2, method="sofa", summary=summary, leaf_size=32)
+    else:
+        train = znormed(30, 16, seed=7)
+        tlb_spark(spark, train, train[:2], fit_variants(train, (4,), l=4), partitions=2)
+    assert any("MapInArrow" in plan for plan in collected_plans)
+    assert not any("MapInPandas" in plan for plan in collected_plans)
