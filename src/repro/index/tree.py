@@ -71,8 +71,11 @@ def _zorder(words: np.ndarray, word_bits: int) -> np.ndarray:
     """Row order of ``words`` (N, l) by their z-order key, ties by row.
 
     The key's bit ``p * l + j`` is bit ``word_bits - 1 - p`` of symbol
-    ``j``; keys are packed big-endian into uint64 columns for lexsort.
+    ``j``; keys are packed big-endian into uint64 columns for lexsort. Any
+    memory order of ``words`` gives the same order (the uint64 view needs C
+    order).
     """
+    words = np.ascontiguousarray(words)
     shifts = np.arange(word_bits - 1, -1, -1, dtype=np.uint8)
     planes = (words[:, None, :] >> shifts[:, None]) & 1  # (N, bits, l)
     packed = np.packbits(planes.reshape(len(words), word_bits * words.shape[1]), axis=1)

@@ -1,7 +1,8 @@
 """Piecewise Aggregate Approximation (PAA), Keogh et al. 2001.
 
 Supports series lengths not divisible by the segment count via
-``np.array_split``-style near-equal segments; the lower bound then uses
+``np.array_split``-style near-equal segments, whose sums come from one
+``np.add.reduceat`` over the segment starts; the lower bound then uses
 per-segment lengths as weights:
 
     ed2(A, B) >= sum_j len_j * (paa(A)_j - paa(B)_j)^2
@@ -24,13 +25,14 @@ def segment_lengths(n: int, l: int) -> np.ndarray:
 
 
 def paa(x: np.ndarray, l: int) -> np.ndarray:
-    """PAA of a batch ``(N, n)`` (or a single series) -> ``(N, l)`` float64."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[1]
-    b = segment_bounds(n, l)
-    csum = np.concatenate([np.zeros((x.shape[0], 1)), np.cumsum(x, axis=1)], axis=1)
-    seg_sums = csum[:, b[1:]] - csum[:, b[:-1]]
-    return seg_sums / np.diff(b)[None, :]
+    """PAA of a batch ``(N, n)`` (or a single series) -> ``(N, l)`` float64.
+
+    Each segment is summed straight from ``x`` in float64 (no float64 copy
+    of ``x``, no running sum), then divided by its length.
+    """
+    x = np.atleast_2d(x)
+    b = segment_bounds(x.shape[1], l)
+    return np.add.reduceat(x, b[:-1], axis=1, dtype=np.float64) / np.diff(b)
 
 
 def paa_lb2(pa: np.ndarray, pb: np.ndarray, n: int) -> np.ndarray:

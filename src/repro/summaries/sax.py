@@ -69,7 +69,7 @@ class SAXSummary(SymbolicSummary):
         super().__init__(l=l, alphabet=alphabet, edges=edges, weights=segment_lengths(n, l))
 
     def approx(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.atleast_2d(x)  # paa sums in float64 without copying x
         if x.shape[1] != self.n:
             raise ValueError(f"series length {x.shape[1]} != {self.n}")
         return paa(x, self.l)

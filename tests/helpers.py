@@ -1,6 +1,7 @@
 """Shared test utilities: data factories, a brute-force oracle, the DuckDB
-k-NN query over exploded series, and the scalar Eq. 2 reference the batched
-LBD kernels are checked against."""
+k-NN query over exploded series, the scalar Eq. 2 reference the batched
+LBD kernels are checked against, and the per-position searchsorted
+reference of the word quantizer."""
 import numpy as np
 import pandas as pd
 
@@ -71,3 +72,14 @@ def mindist2_ref(qvals, word, edges, weights) -> float:
             d = 0.0
         total += weights[j] * d * d
     return float(total)
+
+
+def words_ref(a, edges) -> np.ndarray:
+    """Per-position ``np.searchsorted`` over the interior edges — the
+    quantizer the grid-guided ``words_from_approx`` must reproduce."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    out = np.empty(a.shape, dtype=np.uint8)
+    for j in range(a.shape[1]):
+        # interval [edges[s], edges[s+1]) -> side='right' on interior edges
+        out[:, j] = np.searchsorted(edges[j, 1:-1], a[:, j], side="right")
+    return out

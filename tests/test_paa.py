@@ -62,3 +62,17 @@ def test_paa_mean_preserved():
     w = segment_lengths(64, 16)
     np.testing.assert_allclose((paa(x, 16) * w).sum(axis=1) / 64,
                                x.mean(axis=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("l", [16, 127, 1])
+def test_paa_matches_per_segment_mean(l):
+    """Segment sums of float32 input, accumulated in float64, against the
+    float64 mean of each segment; a 1-D series gives one row."""
+    x = np.random.default_rng(l).standard_normal((40, 127)).astype(np.float32)
+    b = segment_bounds(127, l)
+    x64 = x.astype(np.float64)
+    ref = np.stack([x64[:, s:e].mean(axis=1) for s, e in zip(b[:-1], b[1:])], axis=1)
+    got = paa(x, l)
+    assert got.dtype == np.float64 and got.shape == (40, l)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    np.testing.assert_allclose(paa(x[5], l), ref[5:6], rtol=1e-12)

@@ -96,6 +96,25 @@ def test_root_keys_are_first_bits():
         assert all(idx.perm[i - 1] < idx.perm[i] for i in ties)
 
 
+def test_fortran_ordered_words_build_the_same_index():
+    """The z-order key and the leaf boxes do not depend on the memory
+    order of the words the summary returns."""
+    class FortranWords(SAXSummary):
+        def words(self, x):
+            return np.asfortranarray(super().words(x))
+
+    X = znormed(300, 64, seed=6)
+    plain = TreeIndex(SAXSummary(64, l=16, alphabet=256), X, leaf_size=16)
+    fortran = TreeIndex(FortranWords(64, l=16, alphabet=256), X, leaf_size=16)
+    for name in ("perm", "words_perm", "leaf_start", "leaf_lo", "leaf_hi"):
+        np.testing.assert_array_equal(getattr(fortran, name), getattr(plain, name))
+    words = plain.summary.words(X)
+    np.testing.assert_array_equal(tree._zorder(np.asfortranarray(words), 8),
+                                  tree._zorder(words, 8))
+    q = znormed(1, 64, seed=7)[0]
+    assert fortran.knn(q, k=3) == plain.knn(q, k=3)
+
+
 def test_structure_stats_consistent():
     X = znormed(400, 64, seed=5)
     for _, build in BUILDERS:
