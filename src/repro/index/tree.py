@@ -71,9 +71,10 @@ def _zorder(words: np.ndarray, word_bits: int) -> np.ndarray:
     """Row order of ``words`` (N, l) by their z-order key, ties by row.
 
     The key's bit ``p * l + j`` is bit ``word_bits - 1 - p`` of symbol
-    ``j``; keys are packed big-endian into uint64 columns for lexsort. Any
-    memory order of ``words`` gives the same order (the uint64 view needs C
-    order).
+    ``j``; keys are packed big-endian into uint64 columns for lexsort. The
+    summaries here return C-ordered words; the copy to C order serves a
+    ``words`` override that returns another memory order, which the uint64
+    view would reject.
     """
     words = np.ascontiguousarray(words)
     shifts = np.arange(word_bits - 1, -1, -1, dtype=np.uint8)
@@ -96,7 +97,6 @@ class TreeIndex:
                  ids: np.ndarray | None = None, leaf_size: int = 128):
         self.summary = summary
         self.X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float32)
-        check_series(self.X, "series")
         n_rows = self.X.shape[0]
         self.ids = np.arange(n_rows, dtype=np.int64) if ids is None \
             else np.asarray(ids, dtype=np.int64)
@@ -105,7 +105,7 @@ class TreeIndex:
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         self.leaf_size = leaf_size
-        words = summary.words(self.X)  # (N, l) uint8
+        words = summary.words(self.X)  # (N, l) uint8; rejects NaN/inf series
         self.perm = _zorder(words, summary.bits)
         self.words_perm = words[self.perm]
         self.leaf_start = np.append(np.arange(0, n_rows, leaf_size), n_rows)

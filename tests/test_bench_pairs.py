@@ -1,5 +1,6 @@
 """The paired-run summary of ``tools/bench_pairs.py``: seed lists, win
-counts in each metric's direction, and each side's quartiles."""
+counts in each metric's direction, each side's quartiles, and pairs left
+out for errors, wrong answers or more failed operations."""
 from tools.bench_pairs import parse_seeds, summarize
 
 SPEC = {"end_to_end": [
@@ -8,10 +9,12 @@ SPEC = {"end_to_end": [
 ]}
 
 
-def run(parent: dict, change: dict) -> dict:
-    def side(values):
-        return {"metrics": {k: {"value": v} for k, v in values.items()}}
-    return {"parent": side(parent), "change": side(change)}
+def run(parent: dict, change: dict, correct=(True, True), failed=(0, 0)) -> dict:
+    def side(values, ok, n_failed):
+        return {"correct": ok, "failed": n_failed,
+                "metrics": {k: {"value": v} for k, v in values.items()}}
+    return {"parent": side(parent, correct[0], failed[0]),
+            "change": side(change, correct[1], failed[1])}
 
 
 def test_parse_seeds():
@@ -28,7 +31,27 @@ def test_summarize_counts_wins_in_each_direction():
     assert (s["setup_s"]["wins"], s["setup_s"]["losses"], s["setup_s"]["ties"]) == (1, 1, 1)
     assert (s["fill"]["wins"], s["fill"]["losses"], s["fill"]["ties"]) == (2, 1, 0)
     assert s["setup_s"]["pairs"] == 3
-    assert s["setup_s"]["parent"] == {"median": 0.4, "q1": 0.35, "q3": 0.45}
+    assert s["setup_s"]["parent"] == {"median": 0.4, "q1": 0.35, "q3": 0.45,
+                                      "errored": 1, "incorrect": 0, "failed": 0}
     assert abs(s["setup_s"]["median_gap"] - 0.1) < 1e-12
     assert abs(s["setup_s"]["parent_iqr"] - 0.1) < 1e-12
     assert s["fill"]["median_gap"] == 0.6 - 0.5
+
+
+def test_summarize_leaves_out_wrong_or_failing_pairs():
+    """A pair counts only if both sides answered correctly and the change
+    failed no more operations than the parent; the counts show the rest."""
+    good = run({"setup_s": 0.4}, {"setup_s": 0.3})
+    runs = [good, good,
+            run({"setup_s": 0.4}, {"setup_s": 0.1}, correct=(True, False)),
+            run({"setup_s": 0.4}, {"setup_s": 0.1}, correct=(False, True)),
+            run({"setup_s": 0.4}, {"setup_s": 0.1}, failed=(1, 2)),
+            run({"setup_s": 0.4}, {"setup_s": 0.3}, failed=(2, 1)),
+            {"parent": {"error": "exit 1"}, "change": good["change"]}]
+    s = summarize(runs, SPEC)["setup_s"]
+    assert (s["pairs"], s["wins"]) == (3, 3)
+    assert s["change"]["median"] == 0.3
+    assert {k: s["parent"][k] for k in ("errored", "incorrect", "failed")} == \
+        {"errored": 1, "incorrect": 1, "failed": 3}
+    assert {k: s["change"][k] for k in ("errored", "incorrect", "failed")} == \
+        {"errored": 0, "incorrect": 1, "failed": 3}

@@ -1,19 +1,20 @@
 """Paired benchmark runs of two commits, written to ``BENCH_<workload>.json``.
 
-    python3 tools/bench_pairs.py --workload engine-hf --parent HEAD~1 \\
-        --change HEAD --seeds 101-110
+    python3 tools/bench_pairs.py --workload engine-hf --parent HEAD~1 --seeds 101-110
 
-Exports the committed files of ``--parent`` and ``--change`` with
-``git archive`` into fresh directories, so each side runs exactly what its
-commit holds. For every seed it runs ``perfbench/run.py --trace 0`` once on
-each side, alternating which side goes first, and reads the result line
-(the last line of standard output). ``BENCH_<workload>.json`` (in
-``--out``, the repository root by default) is rewritten after every pair.
-It holds the SHAs, nproc and MemTotal, every run's metrics and answer
-counts, and per end-to-end metric of ``BENCHMARK.json`` each side's median
-and quartiles, the change's wins, losses and ties over the pairs, the gap
-between the medians and the parent's interquartile range. Standard
-library only.
+Exports the committed files of ``--parent`` and of ``HEAD`` (the change)
+with ``git archive`` into fresh directories, so each side runs exactly what
+its commit holds. For every seed it runs ``perfbench/run.py --trace 0`` for
+``BENCHMARK.json``'s ``run_seconds`` once on each side, alternating which
+side goes first, and reads the result line (the last line of standard
+output). ``BENCH_<workload>.json`` in the repository root is rewritten
+after every pair. It holds the SHAs, nproc and MemTotal, every run's
+metrics and answer counts, and per end-to-end metric of ``BENCHMARK.json``
+each side's median and quartiles, the change's wins, losses and ties, the
+gap between the medians and the parent's interquartile range. A pair
+counts only if both sides ran, answered correctly and the change failed no
+more operations than the parent; each side's errored and incorrect runs
+and failed operations are counted over all pairs. Standard library only.
 """
 import argparse
 import io
@@ -72,19 +73,38 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def counts(runs: list[dict], side: str) -> dict:
+    """``side``'s errored runs, incorrect runs and failed operations."""
+    results = [r[side] for r in runs]
+    return {"errored": sum("error" in x for x in results),
+            "incorrect": sum(not x.get("correct", False) for x in results if "error" not in x),
+            "failed": sum(x.get("failed", 0) for x in results)}
+
+
+def usable(run: dict) -> bool:
+    """Both sides ran and answered correctly, and the change failed no more
+    operations than the parent."""
+    parent, change = run["parent"], run["change"]
+    return (parent.get("correct") is True and change.get("correct") is True
+            and change.get("failed", 0) <= parent.get("failed", 0))
+
+
 def summarize(runs: list[dict], spec: dict) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
-    change's wins (better), losses and ties over the pairs."""
+    """Per end-to-end metric over the usable pairs: each side's median and
+    quartiles, and the change's wins (better), losses and ties; with each
+    side's errored, incorrect and failed counts over all pairs."""
+    health = {"parent": counts(runs, "parent"), "change": counts(runs, "change")}
+    kept = [r for r in runs if usable(r)]
     out = {}
     for m in spec["end_to_end"]:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
         pairs = [(r["parent"]["metrics"][name]["value"], r["change"]["metrics"][name]["value"])
-                 for r in runs
+                 for r in kept
                  if name in r["parent"].get("metrics", {}) and name in r["change"].get("metrics", {})]
         if not pairs:
             continue
-        parent = quartiles([p for p, _ in pairs])
-        change = quartiles([c for _, c in pairs])
+        parent = {**quartiles([p for p, _ in pairs]), **health["parent"]}
+        change = {**quartiles([c for _, c in pairs]), **health["change"]}
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(pairs),
             "parent": parent, "change": change,
@@ -111,21 +131,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
-    ap.add_argument("--change", default="HEAD", help="git ref of the change (default HEAD)")
     ap.add_argument("--seeds", required=True, help='e.g. "101-110" or "5,9,12"')
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    ap.add_argument("--out", type=Path, default=ROOT, help="directory of BENCH_<workload>.json")
     args = ap.parse_args(argv)
 
-    shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         trees = {side: export(sha, work / side) for side, sha in shas.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+        seconds = spec["run_seconds"]
         report = {"workload": args.workload, "seconds": seconds, "shas": shas,
                   "nproc": os.cpu_count(), "mem_total_kib": mem_total_kib(), "runs": []}
-        target = args.out / f"BENCH_{args.workload}.json"
+        target = ROOT / f"BENCH_{args.workload}.json"
         for i, seed in enumerate(parse_seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             run = {"seed": seed, "first": order[0]}
@@ -141,7 +158,10 @@ def main(argv=None) -> int:
             print(f"{name}: parent {s['parent']['median']:.6g} [{s['parent']['q1']:.6g}, "
                   f"{s['parent']['q3']:.6g}] -> change {s['change']['median']:.6g}; "
                   f"wins {s['wins']}/{s['pairs']}, gap {s['median_gap']:.4g} "
-                  f"vs parent IQR {s['parent_iqr']:.4g}")
+                  f"vs parent IQR {s['parent_iqr']:.4g}; errored/incorrect/failed "
+                  f"parent {s['parent']['errored']}/{s['parent']['incorrect']}/"
+                  f"{s['parent']['failed']}, change {s['change']['errored']}/"
+                  f"{s['change']['incorrect']}/{s['change']['failed']}")
         return 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
