@@ -1,7 +1,12 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+sys.path.insert(0, SRC)
+# Spark's Python workers start from a fresh interpreter, which finds
+# ``repro`` only through PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 from repro.distrib.session import driver_memory  # noqa: E402
 

@@ -13,18 +13,11 @@ from typing import Any, Callable
 
 _CACHE: dict[tuple, Any] = {}
 
-#: sentinel distinguishing "key absent" from a stored None (empty partition)
-MISSING = object()
-
 
 def get_or_build(key: tuple, builder: Callable[[], Any]) -> Any:
     if key not in _CACHE:
         _CACHE[key] = builder()
     return _CACHE[key]
-
-
-def get(key: tuple, default: Any = MISSING) -> Any:
-    return _CACHE.get(key, default)
 
 
 def clear() -> None:

@@ -9,20 +9,18 @@ object (a few KiB of edges) rides to executors in task closures.
 from pyspark.sql import DataFrame
 
 from repro.distrib.dataset import to_matrix
-from repro.summaries.sfa import SFASummary
-
-_MIN_SAMPLE = 64  # below this, bin edges get too noisy to be meaningful
+from repro.summaries.sfa import MIN_SAMPLE, SAMPLE_FRAC, SFASummary
 
 
-def fit_sfa_spark(df: DataFrame, *, fraction: float = 0.01, l: int = 16,
-                  alphabet: int = 256, binning: str = "equi_width",
-                  selection: str = "variance", n_candidate_coeffs: int = 16,
-                  seed: int = 0) -> SFASummary:
-    """Learn an SFA summary from a ``fraction`` sample of a series DataFrame."""
+def fit_sfa_spark(df: DataFrame, *, fraction: float = SAMPLE_FRAC, l: int = 16,
+                  alphabet: int = 256, seed: int = 0) -> SFASummary:
+    """Learn an SFA summary from a ``fraction`` sample of a series DataFrame.
+
+    A sample of fewer than ``MIN_SAMPLE`` rows is replaced by the first
+    ``MIN_SAMPLE`` rows of ``df`` (all of it, if smaller).
+    """
     sample = df.sample(fraction=min(1.0, fraction), seed=seed).toArrow()
-    if sample.num_rows < _MIN_SAMPLE:
-        sample = df.limit(_MIN_SAMPLE).toArrow()
+    if sample.num_rows < MIN_SAMPLE:
+        sample = df.limit(MIN_SAMPLE).toArrow()
     _, X = to_matrix(sample)
-    return SFASummary.fit(X, l=l, alphabet=alphabet,
-                          binning=binning, selection=selection,
-                          n_candidate_coeffs=n_candidate_coeffs)
+    return SFASummary.fit(X, l=l, alphabet=alphabet)

@@ -55,29 +55,25 @@ MERGED_SCHEMA = StructType([*RESULT_SCHEMA.fields,
                             StructField("rank", IntegerType(), nullable=False)])
 
 
-def _build_engine(batches: Iterator[pa.RecordBatch], method: str,
-                  summary, leaf_size: int, l: int, alphabet: int):
+def _build_engine(batches: Iterator[pa.RecordBatch], method: str, summary,
+                  leaf_size: int):
+    """The partition's engine as ``answer(queries, k)``, which returns each
+    query's ``[(dist, id), ...]``; None for an empty partition."""
     chunks = [b for b in batches if b.num_rows]
     if not chunks:
         return None
     ids, X = to_matrix(pa.Table.from_batches(chunks))
     X = X.astype(np.float32)
-    if method == "sofa":
-        return ("tree", build_sofa(X, ids=ids, summary=summary, l=l,
-                                   alphabet=alphabet, leaf_size=leaf_size))
-    if method == "messi":
-        return ("tree", build_messi(X, ids=ids, l=l, alphabet=alphabet,
-                                    leaf_size=leaf_size))
-    return ("scan", (ids, X))
+    if method in ("ucr", "flat"):
+        scan = ucr_knn if method == "ucr" else flat_knn
+        return lambda queries, k: scan(X, queries, k=k, ids=ids)
+    tree = build_sofa(X, ids=ids, summary=summary, leaf_size=leaf_size) \
+        if method == "sofa" else build_messi(X, ids=ids, leaf_size=leaf_size)
+    return lambda queries, k: [tree.knn(q, k=k) for q in queries]
 
 
-def _answer(engine, method: str, queries: np.ndarray, k: int) -> pa.RecordBatch:
-    kind, obj = engine
-    if kind == "tree":
-        res = [obj.knn(q.astype(np.float32), k=k) for q in queries]
-    else:
-        ids, X = obj
-        res = (ucr_knn if method == "ucr" else flat_knn)(X, queries, k=k, ids=ids)
+def _answer(engine, queries: np.ndarray, k: int) -> pa.RecordBatch:
+    res = engine(queries, k)
     rows = sum(len(r) for r in res)
     return pa.RecordBatch.from_arrays(
         [np.repeat(np.arange(len(res), dtype=np.int64), [len(r) for r in res]),
@@ -86,7 +82,7 @@ def _answer(engine, method: str, queries: np.ndarray, k: int) -> pa.RecordBatch:
         names=RESULT_SCHEMA.names)
 
 
-def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
+def _full_pass(method, queries, k, summary, leaf_size, token):
     """mapInArrow closure: build (or fetch) engine from shipped data and
     answer the query batch."""
 
@@ -95,8 +91,7 @@ def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
         pid = ctx.partitionId() if ctx is not None else -1
 
         def build():
-            return _build_engine(batches, method, summary, leaf_size, l,
-                                 alphabet)
+            return _build_engine(batches, method, summary, leaf_size)
 
         engine = cache.get_or_build((token, method, pid), build) if token \
             else build()
@@ -107,7 +102,7 @@ def _full_pass(method, queries, k, summary, leaf_size, l, alphabet, token):
             pass
         if engine is None:
             return
-        yield _answer(engine, method, queries, k)
+        yield _answer(engine, queries, k)
 
     return run
 
@@ -129,8 +124,7 @@ def _merge(local: pd.DataFrame, k: int) -> pd.DataFrame:
 
 def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
               method: str = "sofa", summary: SFASummary | None = None,
-              leaf_size: int = 128, l: int = 16, alphabet: int = 256,
-              cache_token: str | None = None) -> DataFrame:
+              leaf_size: int = 128, cache_token: str | None = None) -> DataFrame:
     """Exact k-NN of each query against a ``(id, series)`` DataFrame.
 
     Returns a Spark DataFrame ``(query_id, series_id, dist, rank)`` with
@@ -142,7 +136,9 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     For ``method='sofa'`` pass a pre-fit ``summary`` (from
     ``repro.distrib.mcb.fit_sfa_spark``) so every partition quantizes
     identically, as in the paper's single learned transformation
-    (Figure 5). ``cache_token`` enables the warm fast path (see module
+    (Figure 5); its word length and alphabet are the engine's. MESSI
+    partitions use ``build_messi``'s paper defaults (word length 16,
+    alphabet 256). ``cache_token`` enables the warm fast path (see module
     docstring); it must uniquely identify (dataset, partitioning,
     method parameters). Raises ``ValueError`` for ``k < 1``, a non-finite
     query, or one whose length differs from the summary's series length.
@@ -158,7 +154,6 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
                          "(use repro.distrib.mcb.fit_sfa_spark)")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     check_series(queries, "query", summary.n if summary is not None else None)
-    full = _full_pass(method, queries, k, summary, leaf_size, l, alphabet,
-                      cache_token)
+    full = _full_pass(method, queries, k, summary, leaf_size, cache_token)
     local = df.mapInArrow(full, schema=RESULT_SCHEMA).toPandas()
     return df.sparkSession.createDataFrame(_merge(local, k), MERGED_SCHEMA)

@@ -1,11 +1,12 @@
 """Distributed TLB (tightness of lower bound) evaluation — Tables V/VI.
 
 TLB = mean over (query, series) pairs of ``LBD / true distance``
-(Section V-E). The series side is partitioned in Spark; each partition
-computes, for every candidate summarization, the vectorized LBD of all
-queries against its series and emits partial (sum, count); a Spark
-aggregation finishes the mean. One Spark action evaluates *all*
-(method, alphabet) variants of one dataset.
+(Section V-E, after Keogh et al.); higher is better, and 1.0 means the
+summarization loses nothing for pruning purposes. The series side is
+partitioned in Spark; each partition computes, for every candidate
+summarization, the vectorized LBD of all queries against its series and
+emits partial (sum, count); a Spark aggregation finishes the mean. One
+Spark action evaluates *all* (method, alphabet) variants of one dataset.
 """
 from typing import Iterator
 
@@ -44,7 +45,13 @@ def fit_variants(train: np.ndarray, alphabets, l: int = 16) -> dict[str, Symboli
 def tlb_spark(spark: SparkSession, eval_x: np.ndarray, queries: np.ndarray,
               summaries: dict[str, SymbolicSummary],
               partitions: int = 8) -> dict[str, float]:
-    """Mean TLB of each summary over all (query, series) pairs — one action."""
+    """Mean TLB of each summary over all (query, series) pairs — one action.
+
+    Pairs at zero true distance are skipped; a summary with no other pair
+    scores 1.0. The job fails, with the workers' ``ValueError`` naming the
+    summary's label, when a ratio exceeds 1 + 1e-6: that "lower bound" is
+    not one. Ratios within that round-off slack count as 1.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     df = series_df(spark, eval_x, num_partitions=partitions)
 
@@ -63,6 +70,9 @@ def tlb_spark(spark: SparkSession, eval_x: np.ndarray, queries: np.ndarray,
                     batch_mindist2(qv[i], words, s.edges, s.weights)
                     for i in range(len(queries))])
                 ratio = np.sqrt(lbd2)[mask] / true[mask]
+                if (ratio > 1.0 + 1e-6).any():
+                    raise ValueError(f"{label}: LBD exceeds the true distance "
+                                     f"(max ratio {ratio.max():.6f})")
                 labels.append(label)
                 sums.append(float(np.clip(ratio, 0.0, 1.0).sum()))
                 cnts.append(int(mask.sum()))

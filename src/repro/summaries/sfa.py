@@ -2,10 +2,12 @@
 
 ``SFASummary.fit`` is Algorithm 1 (MCB): sample the collection, DFT it,
 rank scalar Fourier components (real/imag separately) by variance within
-the first ``n_candidate_coeffs`` complex coefficients, keep the top
+the first ``N_CANDIDATE_COEFFS`` complex coefficients, keep the top
 ``l``, and learn per-component quantization edges by equi-width
 (default, the paper's best variant) or equi-depth binning of the sample
 distribution. ``approx``/``words`` implement Algorithm 2 for batches.
+The sample is ``SAMPLE_FRAC`` of the collection, at least ``MIN_SAMPLE``
+rows; ``repro.index.sofa`` and ``repro.distrib.mcb`` both draw it so.
 
 The DC component (k=0) is excluded: for z-normalized series it is
 identically 0 and the paper omits it from the bound. The squared lower
@@ -18,7 +20,13 @@ from repro.summaries.common import SymbolicSummary
 from repro.summaries.dft import ComponentSpace, component_space, dft_components
 
 BINNINGS = ("equi_width", "equi_depth")
-SELECTIONS = ("variance", "first")
+#: candidates are the first 16 complex coefficients (32 scalar values), the
+#: paper's setup
+N_CANDIDATE_COEFFS = 16
+#: MCB learns from a 1 % sample of the collection (paper Section IV-G) ...
+SAMPLE_FRAC = 0.01
+#: ... of at least 64 rows: below that, bin edges get too noisy to be meaningful
+MIN_SAMPLE = 64
 
 
 def _learn_edges(col: np.ndarray, alphabet: int, binning: str) -> np.ndarray:
@@ -50,33 +58,25 @@ class SFASummary(SymbolicSummary):
     # -- Algorithm 1: MCB --------------------------------------------------
     @classmethod
     def fit(cls, sample: np.ndarray, l: int = 16, alphabet: int = 256,
-            binning: str = "equi_width", selection: str = "variance",
-            n_candidate_coeffs: int = 16) -> "SFASummary":
+            binning: str = "equi_width") -> "SFASummary":
         """Learn selection + bins from a (z-normalized) sample ``(N, n)``.
 
-        ``n_candidate_coeffs`` restricts candidates to the first that many
-        complex coefficients (paper setup: 16, i.e. 32 scalar values);
-        DC is always excluded.
+        Candidates are the real and imaginary parts of complex coefficients
+        1..``N_CANDIDATE_COEFFS``; DC is always excluded.
         """
-        if selection not in SELECTIONS:
-            raise ValueError(f"selection must be one of {SELECTIONS}, got {selection!r}")
         sample = np.atleast_2d(np.asarray(sample, dtype=np.float64))
         n = sample.shape[1]
         space = component_space(n)
         comps = dft_components(sample, space)  # (N, m)
         cand = np.array([i for i, (k, _) in enumerate(space.labels)
-                         if 1 <= k <= n_candidate_coeffs], dtype=np.int64)
+                         if 1 <= k <= N_CANDIDATE_COEFFS], dtype=np.int64)
         if len(cand) < l:
             raise ValueError(f"only {len(cand)} candidate components for l={l}; "
-                             f"raise n_candidate_coeffs or shorten the word")
-        if selection == "variance":
-            var = comps[:, cand].var(axis=0)
-            # descending variance; stable tie-break on component order so the
-            # fit is deterministic across platforms
-            order = np.lexsort((cand, -var))
-            sel = cand[order][:l]
-        else:  # "first": low-pass behaviour of the original SFA paper
-            sel = cand[:l]
+                             "shorten the word")
+        var = comps[:, cand].var(axis=0)
+        # descending variance; stable tie-break on component order so the
+        # fit is deterministic across platforms
+        sel = cand[np.lexsort((cand, -var))][:l]
         interior = np.stack([_learn_edges(comps[:, s], alphabet, binning) for s in sel])
         edges = np.concatenate(
             [np.full((l, 1), -np.inf), interior, np.full((l, 1), np.inf)], axis=1)

@@ -166,8 +166,8 @@ def _judge(got, judges, what):
 @pytest.mark.parametrize("method", METHODS)
 def test_exact_knn_matches_brute_force_and_oracle(spark_case, method):
     case, Q, k, summary, frame, judges = spark_case
-    res = exact_knn(frame, Q, k=k, method=method, summary=summary, leaf_size=4,
-                    l=8, alphabet=16).toPandas().sort_values(["query_id", "rank"])
+    res = exact_knn(frame, Q, k=k, method=method, summary=summary,
+                    leaf_size=4).toPandas().sort_values(["query_id", "rank"])
     for qi in range(len(Q)):
         _judge(res[res.query_id == qi], {n: exp[qi] for n, exp in judges.items()},
                f"{method} {case} query {qi}")

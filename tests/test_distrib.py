@@ -20,7 +20,7 @@ from repro.distrib.search import METHODS, _full_pass, _merge
 from repro.distrib.transform import WORDS_SCHEMA, _array_literal
 from repro.experiments.tlb import fit_variants, tlb_spark
 from repro.oracle import assert_equivalent
-from repro.summaries.sfa import SFASummary
+from repro.summaries.sfa import MIN_SAMPLE, SFASummary
 from repro.summaries.simd import mindist2_table
 from tests.helpers import KNN_SQL, long_table, znormed
 
@@ -197,7 +197,12 @@ def test_fit_sfa_spark_small_fraction_falls_back(spark):
     X = znormed(100, 32, seed=2)
     d = series_df(spark, X)
     s = fit_sfa_spark(d, fraction=0.001, l=4, alphabet=8)
-    assert s.l == 4  # fell back to the minimum sample rather than failing
+    # fell back to the first MIN_SAMPLE rows rather than failing
+    ids, _ = to_matrix(d.limit(MIN_SAMPLE).toArrow())
+    assert len(ids) == MIN_SAMPLE == 64
+    exp = SFASummary.fit(X[ids], l=4, alphabet=8)
+    np.testing.assert_array_equal(s.sel, exp.sel)
+    np.testing.assert_array_equal(s.edges, exp.edges)
 
 
 def test_fit_sfa_spark_matches_local_fit_distribution(df, data, summary):
@@ -273,7 +278,7 @@ def test_cache_hit_drains_shipped_rows(data):
     must still consume its partition's batches."""
     X, Q = data
     batch = series_table(X).to_batches()[0]
-    run = _full_pass("flat", Q, 1, None, 128, 16, 256, "drain-test")
+    run = _full_pass("flat", Q, 1, None, 128, "drain-test")
     try:
         for _ in range(2):  # build, then hit
             batches = iter([batch])
@@ -613,7 +618,7 @@ def test_full_pass_reads_split_and_zero_row_batches(data):
     X, Q = data
     batches = series_table(X).to_batches(max_chunksize=100)
     empty = batches[0].slice(0, 0)
-    run = _full_pass("flat", Q, 2, None, 128, 16, 256, None)
+    run = _full_pass("flat", Q, 2, None, 128, None)
     out = pa.Table.from_batches(list(run(iter([empty, *batches, empty]))))
     exp = flat_knn(X, Q, k=2)
     assert out.column("query_id").to_pylist() == [0, 0, 1, 1, 2, 2, 3, 3]

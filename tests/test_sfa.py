@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.distance import ed2_batch
 from repro.summaries.dft import dft_components
-from repro.summaries.sfa import SFASummary
+from repro.summaries.sfa import N_CANDIDATE_COEFFS, SFASummary
 from repro.summaries.simd import batch_mindist2
 from repro.datasets.generators import seismic, sine_mix
 from tests.helpers import mindist2_ref, znormed
@@ -51,15 +51,11 @@ def test_equi_depth_bins_balanced():
 
 def test_variance_selection_prefers_high_variance():
     # planted energy at k=9: variance selection must include component(s)
-    # of that coefficient, 'first' selection ranks them last
+    # of that coefficient, though low-pass selection would rank them last
     x = znormalize(sine_mix(400, 128, seed=1, n_components=1,
                             freq_lo=9 / 128, freq_hi=9.01 / 128, noise=0.05))
-    sv = SFASummary.fit(x, l=4, alphabet=8, selection="variance")
-    sf = SFASummary.fit(x, l=4, alphabet=8, selection="first")
-    ks_var = {sv.space.labels[i][0] for i in sv.sel}
-    ks_first = {sf.space.labels[i][0] for i in sf.sel}
-    assert 9 in ks_var
-    assert ks_first == {1, 2}  # low-pass keeps the first components
+    s = SFASummary.fit(x, l=4, alphabet=8)
+    assert 9 in {s.space.labels[i][0] for i in s.sel}
 
 
 def test_dc_excluded_from_selection():
@@ -68,18 +64,22 @@ def test_dc_excluded_from_selection():
 
 
 def test_candidate_restriction_respected():
-    s = fit(n_candidate_coeffs=6, l=8)
-    assert all(1 <= s.space.labels[i][0] <= 6 for i in s.sel)
+    # planted energy at k=30, beyond the candidates 1..16
+    x = znormalize(sine_mix(400, 128, seed=1, n_components=1,
+                            freq_lo=30 / 128, freq_hi=30.01 / 128, noise=0.05))
+    s = SFASummary.fit(x, l=16, alphabet=8)
+    assert N_CANDIDATE_COEFFS == 16
+    assert all(1 <= s.space.labels[i][0] <= 16 for i in s.sel)
 
 
 def test_too_few_candidates_raises():
-    with pytest.raises(ValueError):
-        fit(n_candidate_coeffs=2, l=16)
+    # length 16 has 15 candidate components: k=1..7 real and imaginary, and
+    # the Nyquist real part at k=8
+    with pytest.raises(ValueError, match="only 15 candidate components"):
+        fit(n=16, l=16)
 
 
-def test_bad_selection_and_binning_raise():
-    with pytest.raises(ValueError):
-        fit(selection="best")
+def test_bad_binning_raises():
     with pytest.raises(ValueError):
         fit(binning="kmeans")
 
@@ -100,7 +100,12 @@ def test_words_range():
 @pytest.mark.parametrize("selection", ["variance", "first"])
 @pytest.mark.parametrize("rows", [1, 500])
 def test_approx_bit_equal_to_selected_dft_components(n, selection, rows):
-    s = fit(n=n, selection=selection)
+    """Any component selection: MCB's variance ranking, or the first ``l``
+    components after DC in order (a low-pass selection, set directly)."""
+    s = fit(n=n)
+    if selection == "first":
+        s = SFASummary(n=n, sel=np.arange(1, s.l + 1), space=s.space, edges=s.edges,
+                       alphabet=s.alphabet)
     x = znormed(rows, n, seed=8)
     assert np.array_equal(s.approx(x), dft_components(x, s.space)[:, s.sel])
 

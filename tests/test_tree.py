@@ -9,6 +9,7 @@ from repro.index import build_messi, build_sofa
 from repro.index import tree
 from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
+from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import batch_interval_mindist2
 from tests.helpers import brute_knn, mindist2_ref, znormed
 
@@ -248,8 +249,20 @@ def test_sofa_prunes_better_than_messi_on_high_freq():
     assert np.mean(pr_s) > np.mean(pr_m) + 0.3
 
 
+@pytest.mark.parametrize("n_series", [1_000, 7_000])
+def test_build_sofa_fits_mcb_on_a_one_percent_sample(n_series):
+    """MCB's sample: 1 % of the rows, at least 64, drawn without replacement
+    by ``default_rng(seed)``; 6,400 rows is where the floor stops binding."""
+    X = znormed(n_series, 32, seed=32)
+    rows = np.random.default_rng(5).choice(n_series, max(64, round(0.01 * n_series)),
+                                           replace=False)
+    exp = SFASummary.fit(X[rows])
+    got = build_sofa(X, seed=5).summary
+    np.testing.assert_array_equal(got.sel, exp.sel)
+    np.testing.assert_array_equal(got.edges, exp.edges)
+
+
 def test_pre_fit_summary_reused():
-    from repro.summaries.sfa import SFASummary
     X = znormed(200, 64, seed=30)
     s = SFASummary.fit(X[:50], l=8, alphabet=32)
     idx = build_sofa(X, summary=s, leaf_size=16)
