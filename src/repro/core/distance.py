@@ -11,6 +11,8 @@
 - ``check_series`` / ``check_k``: reject non-finite or wrong-length input,
   which would otherwise turn into NaN distances and invented neighbours,
   and ``k < 1``.
+- ``stored_rows``: the layout the tree and the Spark partitions keep rows
+  in, float32 only where that loses nothing.
 """
 import numpy as np
 
@@ -106,3 +108,15 @@ def check_series(x: np.ndarray, what: str, length: int | None = None) -> None:
         raise ValueError(f"{what} length {x.shape[1]} != series length {length}")
     if not np.isfinite(x).all():
         raise ValueError(f"{what} values must be finite (found NaN or inf)")
+
+
+def stored_rows(X: np.ndarray) -> np.ndarray:
+    """``X`` as a C-contiguous (N, n) matrix: float32 when every value
+    survives the round trip to float32 (float32 input is not copied), else
+    float64, so that rows closer than float32 resolution stay distinct."""
+    X = np.atleast_2d(X)
+    if X.dtype == np.float32:
+        return np.ascontiguousarray(X)
+    with np.errstate(over="ignore"):  # values beyond float32's range stay float64
+        narrow = X.astype(np.float32, order="C")
+    return narrow if np.array_equal(narrow, X) else np.ascontiguousarray(X, dtype=np.float64)

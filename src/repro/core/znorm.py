@@ -17,7 +17,8 @@ def znormalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
     Accepts a single series ``(n,)`` or a batch ``(N, n)``. Output dtype is
     float64 for single/float64 input, float32 preserved for float32 input
-    (the in-memory index stores float32, like MESSI's C arrays).
+    (the in-memory index stores float32 rows, like MESSI's C arrays, when
+    that rounds no value).
     """
     x = np.asarray(x)
     mu = x.mean(axis=axis, keepdims=True)

@@ -38,7 +38,7 @@ from pyspark.sql.types import (DoubleType, IntegerType, LongType, StructField,
 
 from repro.baselines.flat_l2 import flat_knn
 from repro.baselines.ucr_scan import ucr_knn
-from repro.core.distance import check_k, check_series, select_topk
+from repro.core.distance import check_k, check_series, select_topk, stored_rows
 from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
@@ -63,7 +63,7 @@ def _build_engine(batches: Iterator[pa.RecordBatch], method: str, summary,
     if not chunks:
         return None
     ids, X = to_matrix(pa.Table.from_batches(chunks))
-    X = X.astype(np.float32)
+    X = stored_rows(X)
     if method in ("ucr", "flat"):
         scan = ucr_knn if method == "ucr" else flat_knn
         return lambda queries, k: scan(X, queries, k=k, ids=ids)
@@ -152,7 +152,7 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     if method == "sofa" and summary is None:
         raise ValueError("method='sofa' requires a pre-fit SFA summary "
                          "(use repro.distrib.mcb.fit_sfa_spark)")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     check_series(queries, "query", summary.n if summary is not None else None)
     full = _full_pass(method, queries, k, summary, leaf_size, cache_token)
     local = df.mapInArrow(full, schema=RESULT_SCHEMA).toPandas()

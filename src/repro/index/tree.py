@@ -33,7 +33,9 @@ paper.
 
 The paper's multi-threaded index workers map to Spark partitions in
 this repo (each partition owns an independent TreeIndex; see
-``repro.distrib``). ``SearchStats`` exposes hardware-independent work
+``repro.distrib``). In process, a build spreads its word pass over
+threads: ``SymbolicSummary.words`` computes a large batch's approx values
+in row blocks on a per-call thread pool. ``SearchStats`` exposes hardware-independent work
 counters used by the experiment harnesses to explain *why* one method
 beats another, independent of Python/C constant factors.
 """
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distance import check_k, check_series, ed2_batch, select_topk
+from repro.core.distance import check_k, check_series, ed2_batch, select_topk, stored_rows
 from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mindist2,
                                   mindist2_table)
@@ -89,6 +91,8 @@ def _zorder(words: np.ndarray, word_bits: int) -> np.ndarray:
 class TreeIndex:
     """In-memory exact-search index over z-normalized series ``X``.
 
+    The rows are kept as ``stored_rows(X)``: float32 (a float32 ``X`` is
+    held as is) unless that would round a value, then float64.
     ``ids`` are the external identifiers returned from queries (defaults
     to 0..N-1); ``leaf_size`` is the number of series per leaf.
     """
@@ -96,7 +100,7 @@ class TreeIndex:
     def __init__(self, summary: SymbolicSummary, X: np.ndarray,
                  ids: np.ndarray | None = None, leaf_size: int = 128):
         self.summary = summary
-        self.X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float32)
+        self.X = stored_rows(X)
         n_rows = self.X.shape[0]
         self.ids = np.arange(n_rows, dtype=np.int64) if ids is None \
             else np.asarray(ids, dtype=np.int64)

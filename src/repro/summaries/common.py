@@ -21,12 +21,24 @@ interior edge, whose grid points are binned by ``np.searchsorted`` once per
 call. A value's cell gives a guess, which is then checked against the
 real edges, so the symbols are exactly those of a per-value
 ``searchsorted``; only the grid points pay for a binary search.
+
+``words`` computes the approx values of a batch larger than ``BLOCK_ROWS``
+in row blocks on a thread pool that lives for the call: NumPy's FFT,
+``reduceat`` and ``isfinite`` release the GIL, and each block's
+temporaries stay in cache. Every row's approx values are computed alone,
+and the quantizer bins each value alone, so the words are bit-equal to
+one whole-batch pass.
 """
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.distance import check_series
+
+#: rows per block of the threaded approx pass in ``SymbolicSummary.words``
+BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -62,8 +74,25 @@ class SymbolicSummary:
         Raises ``ValueError`` if a value of ``x`` is NaN or infinite.
         """
         x = np.atleast_2d(x)
-        check_series(x, "series")
-        return self.words_from_approx(self.approx(x))
+        if len(x) <= BLOCK_ROWS:
+            check_series(x, "series")
+            return self.words_from_approx(self.approx(x))
+        # column-major, as the quantizer reads it
+        a = np.empty((len(x), self.l), order="F")
+
+        def fill(lo: int) -> None:
+            block = x[lo:lo + BLOCK_ROWS]
+            check_series(block, "series")
+            a[lo:lo + BLOCK_ROWS] = self.approx(block)
+
+        starts = range(0, len(x), BLOCK_ROWS)
+        with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
+            # reading every result re-raises the first failing block's error
+            for _ in pool.map(fill, starts):
+                pass
+        # one quantizer pass: its many small NumPy calls would contend for
+        # the GIL inside the workers
+        return self.words_from_approx(a)
 
     def words_from_approx(self, a: np.ndarray) -> np.ndarray:
         """Quantize approx rows ``(N, l)`` into C-contiguous uint8 symbols.

@@ -89,9 +89,3 @@ class SFASummary(SymbolicSummary):
             raise ValueError(f"series length {x.shape[1]} != {self.n}")
         spec = np.fft.rfft(x, axis=1)[:, self._coeffs] / np.sqrt(self.n)
         return np.where(self._imag, spec.imag, spec.real)
-
-    @property
-    def mean_selected_coeff_index(self) -> float:
-        """Mean scalar component index of the selection (paper Fig. 13's
-        x-axis): high values mean SFA kept high-frequency information."""
-        return float(np.mean(self.sel))

@@ -10,9 +10,10 @@ Inputs: integer rows repeated five times (exact ties), float rows repeated
 five times with permuted ids (ties only if every copy gets bit-equal
 distances), near-copies far from the origin (distance gaps below the GEMM
 identity's round-off), all-zero rows (constant series after z-normalization),
-``k >= N``, copies on both sides of the UCR scan's block seam, and a
-three-row collection spread over eight partitions, so most partitions are
-empty and the rest hold a single row.
+``k >= N``, copies on both sides of the UCR scan's block seam, float64
+near-copies closer than float32 resolution, and a three-row collection
+spread over eight partitions, so most partitions are empty and the rest
+hold a single row.
 """
 import duckdb
 import numpy as np
@@ -81,6 +82,20 @@ def _seam_ties():
     return X, np.arange(len(X))[::-1], Q
 
 
+def _f64_near_dups():
+    """Float64 rows and queries that float32 cannot tell apart: rows 1e-9
+    and 2e-9 from a query 10 off the origin (the nearer one holds the
+    larger id), and a row 1e-9 from another on every column, queried at
+    both. Rounded to float32 they tie and the smaller id wins."""
+    X = np.random.default_rng(11).standard_normal((200, 32))
+    q = X[0] + 10
+    X[[5, 2]] = q
+    X[5, 0] += 1e-9
+    X[2, 0] += 2e-9
+    X[7] = X[3] + 1e-9
+    return X, np.arange(len(X)), np.vstack([q, X[3], X[7]])
+
+
 # name -> (input, k values in process)
 CASES = {
     "int_ties": (_int_ties, (1, 3, 7)),
@@ -89,9 +104,11 @@ CASES = {
     "zeros": (_zeros, (1, 7, 40)),
     "tiny": (_tiny, (1, 5)),
     "seam_ties": (_seam_ties, (1, 7, 80)),
+    "f64_near_dups": (_f64_near_dups, (1, 2, 3)),
 }
 # name -> (k, partitions) on the Spark paths
-SPARK_CASES = {"int_ties": (7, 4), "float_dups": (3, 4), "zeros": (40, 4), "tiny": (5, 8)}
+SPARK_CASES = {"int_ties": (7, 4), "float_dups": (3, 4), "zeros": (40, 4), "tiny": (5, 8),
+               "f64_near_dups": (2, 4)}
 
 
 def _expected(X, ids, Q, k):

@@ -154,13 +154,3 @@ def test_batch_matches_scalar_reference():
     for i in range(25):
         assert batch[i] == pytest.approx(
             mindist2_ref(qv, words[i], s.edges, s.weights), abs=1e-9)
-
-
-def test_mean_selected_coeff_index_reflects_frequency():
-    lo = znormalize(sine_mix(300, 128, seed=2, freq_lo=0.01, freq_hi=0.02,
-                             noise=0.05))
-    hi = znormalize(sine_mix(300, 128, seed=2, freq_lo=0.09, freq_hi=0.12,
-                             noise=0.05))
-    s_lo = SFASummary.fit(lo, l=8, alphabet=8)
-    s_hi = SFASummary.fit(hi, l=8, alphabet=8)
-    assert s_hi.mean_selected_coeff_index > s_lo.mean_selected_coeff_index

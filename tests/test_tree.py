@@ -133,6 +133,20 @@ def test_empty_index():
     assert idx.knn(np.zeros(32)) == []
 
 
+def test_rows_stored_as_float32_only_when_exact():
+    """A float32 collection is held as is; float64 rows of float32 values
+    are stored as float32, and float64 rows that float32 would round keep
+    float64."""
+    X = znormed(50, 32, seed=8)
+    assert np.shares_memory(build_messi(X).X, X)
+    wide = X.astype(np.float64)
+    assert build_messi(wide).X.dtype == np.float32
+    wide[3, 0] += 1e-9
+    idx = build_messi(wide)
+    assert idx.X.dtype == np.float64
+    np.testing.assert_array_equal(idx.X, wide)
+
+
 def test_single_series_index():
     X = znormed(1, 32, seed=6)
     idx = build_messi(X, leaf_size=4)

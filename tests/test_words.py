@@ -1,10 +1,13 @@
 """The word quantizer shared by iSAX and SFA (``SymbolicSummary``): the
 grid-guided ``words_from_approx`` against a per-position ``searchsorted``,
-on and around every edge, and the rejection of non-finite input."""
+on and around every edge, the rejection of non-finite input, and the
+threaded row-block pass of ``words`` against one whole-batch pass."""
+import threading
+
 import numpy as np
 import pytest
 
-from repro.summaries.common import SymbolicSummary
+from repro.summaries.common import BLOCK_ROWS, SymbolicSummary
 from repro.summaries.sax import SAXSummary, sax_breakpoints
 from repro.summaries.sfa import SFASummary, _learn_edges
 from tests.helpers import words_ref, znormed
@@ -141,3 +144,49 @@ def test_words_reject_a_value_the_approx_does_not_read():
     np.testing.assert_array_equal(s.words_from_approx(s.approx(x)), np.full((3, 4), 4))
     with pytest.raises(ValueError, match="finite"):
         s.words(x)
+
+
+def _blocked_summaries(n: int) -> dict[str, SymbolicSummary]:
+    X = znormed(200, n, seed=8)
+    return {"sfa": SFASummary.fit(X, l=8, alphabet=256), "sax": SAXSummary(n, l=8, alphabet=256)}
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  3 * BLOCK_ROWS + 7])
+@pytest.mark.parametrize("kind", ["sfa-float32", "sfa-float64", "sax-float32"])
+def test_blocked_words_equal_one_pass(kind, rows):
+    """Words of a batch computed in row blocks on threads are bit-equal to
+    one approx pass over the whole batch."""
+    name, dtype = kind.split("-")
+    s = _blocked_summaries(64)[name]
+    X = znormed(rows, 64, seed=rows).astype(dtype)
+    words = s.words(X)
+    assert words.dtype == np.uint8 and words.flags.c_contiguous
+    np.testing.assert_array_equal(words, s.words_from_approx(s.approx(X)))
+
+
+@pytest.mark.parametrize("summary", ["sfa", "sax"])
+def test_blocked_words_reject_nan_in_last_block(summary):
+    s = _blocked_summaries(64)[summary]
+    X = znormed(3 * BLOCK_ROWS + 7, 64, seed=9)
+    X[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        s.words(X)
+
+
+def test_blocked_words_leave_no_thread_running():
+    s = _blocked_summaries(64)["sfa"]
+    X = znormed(2 * BLOCK_ROWS + 1, 64, seed=10)
+    before = threading.active_count()
+    s.words(X)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("summary", ["sfa", "sax"])
+def test_blocked_words_of_one_series_and_fortran_input(summary):
+    s = _blocked_summaries(64)[summary]
+    X = znormed(2 * BLOCK_ROWS + 3, 64, seed=11)
+    np.testing.assert_array_equal(s.words(X[5]), s.words(X[5:6]))
+    words = s.words(np.asfortranarray(X))
+    assert words.flags.c_contiguous
+    np.testing.assert_array_equal(words, s.words(X))
