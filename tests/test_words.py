@@ -146,9 +146,10 @@ def test_words_reject_a_value_the_approx_does_not_read():
         s.words(x)
 
 
-def _blocked_summaries(n: int) -> dict[str, SymbolicSummary]:
-    X = znormed(200, n, seed=8)
-    return {"sfa": SFASummary.fit(X, l=8, alphabet=256), "sax": SAXSummary(n, l=8, alphabet=256)}
+def _blocked_summaries() -> dict[str, SymbolicSummary]:
+    """Summaries of length-64 series, the length the blocked tests use."""
+    X = znormed(200, 64, seed=8)
+    return {"sfa": SFASummary.fit(X, l=8, alphabet=256), "sax": SAXSummary(64, l=8, alphabet=256)}
 
 
 @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
@@ -158,7 +159,7 @@ def test_blocked_words_equal_one_pass(kind, rows):
     """Words of a batch computed in row blocks on threads are bit-equal to
     one approx pass over the whole batch."""
     name, dtype = kind.split("-")
-    s = _blocked_summaries(64)[name]
+    s = _blocked_summaries()[name]
     X = znormed(rows, 64, seed=rows).astype(dtype)
     words = s.words(X)
     assert words.dtype == np.uint8 and words.flags.c_contiguous
@@ -167,7 +168,7 @@ def test_blocked_words_equal_one_pass(kind, rows):
 
 @pytest.mark.parametrize("summary", ["sfa", "sax"])
 def test_blocked_words_reject_nan_in_last_block(summary):
-    s = _blocked_summaries(64)[summary]
+    s = _blocked_summaries()[summary]
     X = znormed(3 * BLOCK_ROWS + 7, 64, seed=9)
     X[-1, -1] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -175,7 +176,7 @@ def test_blocked_words_reject_nan_in_last_block(summary):
 
 
 def test_blocked_words_leave_no_thread_running():
-    s = _blocked_summaries(64)["sfa"]
+    s = _blocked_summaries()["sfa"]
     X = znormed(2 * BLOCK_ROWS + 1, 64, seed=10)
     before = threading.active_count()
     s.words(X)
@@ -184,7 +185,7 @@ def test_blocked_words_leave_no_thread_running():
 
 @pytest.mark.parametrize("summary", ["sfa", "sax"])
 def test_blocked_words_of_one_series_and_fortran_input(summary):
-    s = _blocked_summaries(64)[summary]
+    s = _blocked_summaries()[summary]
     X = znormed(2 * BLOCK_ROWS + 3, 64, seed=11)
     np.testing.assert_array_equal(s.words(X[5]), s.words(X[5:6]))
     words = s.words(np.asfortranarray(X))
