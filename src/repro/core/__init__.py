@@ -6,6 +6,6 @@ series have been z-normalized up front (``znorm.znormalize``), after
 which the paper's z-normalized Euclidean distance reduces to plain ED.
 """
 from repro.core.znorm import znormalize
-from repro.core.distance import ed, ed2, ed2_batch
+from repro.core.distance import ed2_batch
 
-__all__ = ["znormalize", "ed", "ed2", "ed2_batch"]
+__all__ = ["znormalize", "ed2_batch"]

@@ -1,6 +1,5 @@
 """Euclidean distance kernels, the top-k and the input checks every engine shares.
 
-- ``ed2`` / ``ed``: scalar reference (tests, small paths).
 - ``ed2_batch``: exact batch squared ED. Given two batches it uses the
   GEMM identity ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` (the FAISS
   IndexFlatL2 analog's shortlist, the TLB experiment). Given one query, a
@@ -15,17 +14,6 @@
   in, float32 only where that loses nothing.
 """
 import numpy as np
-
-
-def ed2(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two series of equal length."""
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float(np.dot(d, d))
-
-
-def ed(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two series of equal length."""
-    return float(np.sqrt(ed2(a, b)))
 
 
 def ed2_batch(queries: np.ndarray, data: np.ndarray, *, rows: np.ndarray | None = None,

@@ -34,10 +34,11 @@ paper.
 The paper's multi-threaded index workers map to Spark partitions in
 this repo (each partition owns an independent TreeIndex; see
 ``repro.distrib``). In process, a build spreads its word pass over
-threads: ``SymbolicSummary.words`` computes a large batch's approx values
-in row blocks on a per-call thread pool. ``SearchStats`` exposes hardware-independent work
-counters used by the experiment harnesses to explain *why* one method
-beats another, independent of Python/C constant factors.
+threads: ``SymbolicSummary.words`` computes and quantizes every batch in
+row blocks on a per-call thread pool. ``SearchStats`` exposes
+hardware-independent work counters used by the experiment harnesses to
+explain *why* one method beats another, independent of Python/C constant
+factors.
 """
 from dataclasses import dataclass
 

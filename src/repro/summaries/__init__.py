@@ -1,10 +1,9 @@
 """Summarization techniques (Def. 3) with Euclidean lower bounds (Def. 4).
 
 - ``paa``: Piecewise Aggregate Approximation (the numeric core of iSAX).
-- ``dft``: scaled Fourier components + the Rafiei-Mendelzon DFT bound
-  (the numeric core of SFA).
 - ``sax``: iSAX — PAA + fixed N(0,1) equal-depth quantization.
-- ``sfa``: SFA — DFT + variance feature selection + learned MCB bins.
+- ``sfa``: SFA — scaled Fourier components with the Rafiei-Mendelzon
+  weights + variance feature selection + learned MCB bins.
 - ``simd``: batched mindist kernels, one per-query table gathered over words
   and over leaf symbol boxes (Algorithm 3 analog).
 

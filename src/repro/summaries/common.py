@@ -15,19 +15,14 @@ property iSAX's variable-cardinality words assume.
 ``weights[j]`` is the position's multiplier in the squared lower bound
 (segment length for PAA/iSAX; 2, or 1 at Nyquist, for DFT/SFA).
 
-``words_from_approx`` finds the symbols with a grid-guided search: per
-position, a uniform grid of ``4 * alphabet`` cells over the first..last
-interior edge, whose grid points are binned by ``np.searchsorted`` once per
-call. A value's cell gives a guess, which is then checked against the
-real edges, so the symbols are exactly those of a per-value
-``searchsorted``; only the grid points pay for a binary search.
-
-``words`` computes the approx values of a batch larger than ``BLOCK_ROWS``
-in row blocks on a thread pool that lives for the call: NumPy's FFT,
-``reduceat`` and ``isfinite`` release the GIL, and each block's
-temporaries stay in cache. Every row's approx values are computed alone,
-and the quantizer bins each value alone, so the words are bit-equal to
-one whole-batch pass.
+``words`` runs every batch in row blocks of ``BLOCK_ROWS`` on a thread
+pool that lives for the call: each block's worker checks its rows,
+computes their approx values and quantizes them with a per-position
+``np.searchsorted`` over the interior edges, writing uint8 symbols into
+the result. NumPy's FFT, ``reduceat``, ``isfinite`` and ``searchsorted``
+release the GIL, and each block's temporaries stay in cache. Every row's
+approx values are computed alone and every value is binned alone, so the
+words are bit-equal to one whole-batch pass.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +32,7 @@ import numpy as np
 
 from repro.core.distance import check_series
 
-#: rows per block of the threaded approx pass in ``SymbolicSummary.words``
+#: rows per block of the threaded word pass in ``SymbolicSummary.words``
 BLOCK_ROWS = 4096
 
 
@@ -61,6 +56,10 @@ class SymbolicSummary:
             raise ValueError(f"edges shape {self.edges.shape} != {(self.l, self.alphabet + 1)}")
         if not (np.isneginf(self.edges[:, 0]).all() and np.isposinf(self.edges[:, -1]).all()):
             raise ValueError("edges must start at -inf and end at +inf")
+        inner = self.edges[:, 1:-1]
+        # equal edges are allowed: they are degenerate bins, never reached
+        if not np.isfinite(inner).all() or (np.diff(inner, axis=1) < 0).any():
+            raise ValueError("interior edges must be finite and non-decreasing")
 
     # -- to be provided by subclasses -------------------------------------
     def approx(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
@@ -74,32 +73,26 @@ class SymbolicSummary:
         Raises ``ValueError`` if a value of ``x`` is NaN or infinite.
         """
         x = np.atleast_2d(x)
-        if len(x) <= BLOCK_ROWS:
-            check_series(x, "series")
-            return self.words_from_approx(self.approx(x))
-        # column-major, as the quantizer reads it
-        a = np.empty((len(x), self.l), order="F")
+        out = np.empty((len(x), self.l), dtype=np.uint8)
 
         def fill(lo: int) -> None:
             block = x[lo:lo + BLOCK_ROWS]
             check_series(block, "series")
-            a[lo:lo + BLOCK_ROWS] = self.approx(block)
+            out[lo:lo + BLOCK_ROWS] = self.words_from_approx(self.approx(block))
 
-        starts = range(0, len(x), BLOCK_ROWS)
+        # an empty batch is one empty block, so its length is still checked
+        starts = range(0, max(len(x), 1), BLOCK_ROWS)
         with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
             # reading every result re-raises the first failing block's error
             for _ in pool.map(fill, starts):
                 pass
-        # one quantizer pass: its many small NumPy calls would contend for
-        # the GIL inside the workers
-        return self.words_from_approx(a)
+        return out
 
     def words_from_approx(self, a: np.ndarray) -> np.ndarray:
         """Quantize approx rows ``(N, l)`` into C-contiguous uint8 symbols.
 
         Symbol ``s`` at position ``j`` satisfies
-        ``edges[j, s] <= a[:, j] < edges[j, s + 1]``, the result of
-        ``np.searchsorted(edges[j, 1:-1], a[:, j], side="right")``.
+        ``edges[j, s] <= a[:, j] < edges[j, s + 1]``.
         Raises ``ValueError`` if ``a`` has other than ``l`` columns or a
         value of ``a`` is NaN or infinite.
         """
@@ -107,40 +100,7 @@ class SymbolicSummary:
         if a.shape[1] != self.l:
             raise ValueError(f"approx has {a.shape[1]} columns, expected l={self.l}")
         check_series(a, "approx")
-        cells = 4 * self.alphabet
-        steps = np.arange(cells + 1)
         out = np.empty(a.shape, dtype=np.uint8)
         for j, e in enumerate(self.edges):
-            inner = e[1:-1]
-            lo = inner[0]
-            # the guess may overflow or divide by zero; the correction
-            # below makes every symbol exact all the same
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                scale = cells / (inner[-1] - lo)
-                if not 0 < scale < np.inf:
-                    # zero span (all interior edges equal): unit cells put
-                    # every value >= lo above all edges; a non-finite span
-                    # leaves the guess to the correction
-                    scale = 1.0
-                # guess[c + 1] is the symbol of grid point c; cell -1 lies
-                # below every interior edge
-                guess = np.zeros(cells + 2, dtype=np.intp)
-                guess[1:] = np.searchsorted(inner, lo + steps / scale, side="right")
-                v = np.ascontiguousarray(a[:, j])
-                cell = v - lo
-                cell *= scale
-                cell += 1.0
-            np.clip(cell, 0, cells + 1, out=cell)
-            s = guess[cell.astype(np.intp)]
-            # one step corrects a guess one edge off; a cell holding several
-            # edges (duplicate equi-depth edges) can leave it farther off,
-            # and those few values are searched
-            high = np.flatnonzero(v < e[s])
-            s[high] -= 1
-            low = np.flatnonzero(v >= e[1:][s])
-            s[low] += 1
-            off = np.concatenate([high[v[high] < e[s[high]]],
-                                  low[v[low] >= e[1:][s[low]]]])
-            s[off] = np.searchsorted(inner, v[off], side="right")
-            out[:, j] = s
+            out[:, j] = np.searchsorted(e[1:-1], a[:, j], side="right")
         return out

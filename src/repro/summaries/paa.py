@@ -34,10 +34,3 @@ def paa(x: np.ndarray, l: int) -> np.ndarray:
     b = segment_bounds(x.shape[1], l)
     return np.add.reduceat(x, b[:-1], axis=1, dtype=np.float64) / np.diff(b)
 
-
-def paa_lb2(pa: np.ndarray, pb: np.ndarray, n: int) -> np.ndarray:
-    """Squared PAA lower bound between PAA rows ``pa`` and ``pb`` (same l)."""
-    pa = np.atleast_2d(pa)
-    pb = np.atleast_2d(pb)
-    w = segment_lengths(n, pa.shape[1])
-    return np.einsum("ij,j->i", (pa - pb) ** 2, w)

@@ -75,8 +75,8 @@ def mindist2_ref(qvals, word, edges, weights) -> float:
 
 
 def words_ref(a, edges) -> np.ndarray:
-    """Per-position ``np.searchsorted`` over the interior edges — the
-    quantizer the grid-guided ``words_from_approx`` must reproduce."""
+    """Per-position ``np.searchsorted`` over the interior edges, written
+    apart from ``words_from_approx`` — the symbols it must reproduce."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     out = np.empty(a.shape, dtype=np.uint8)
     for j in range(a.shape[1]):

@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import ed2
 from repro.core.znorm import znormalize
-from repro.summaries.paa import paa, paa_lb2, segment_bounds, segment_lengths
+from repro.summaries.paa import paa, segment_bounds, segment_lengths
 
 
 @pytest.mark.parametrize("n,l", [(16, 4), (64, 16), (100, 16), (256, 16),
@@ -50,9 +49,8 @@ def test_paa_lower_bound_property(seed, n, l):
     g = np.random.default_rng(seed)
     A = znormalize(g.standard_normal((20, n)))
     B = znormalize(g.standard_normal((20, n)))
-    lb2 = paa_lb2(paa(A, l), paa(B, l), n)
-    for i in range(20):
-        assert lb2[i] <= ed2(A[i], B[i]) + 1e-9
+    lb2 = ((paa(A, l) - paa(B, l)) ** 2 * segment_lengths(n, l)).sum(axis=1)
+    assert (lb2 <= ((A - B) ** 2).sum(axis=1) + 1e-9).all()
 
 
 def test_paa_mean_preserved():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import ed2, ed2_batch
+from repro.core.distance import ed2_batch
 from repro.summaries.sax import SAXSummary, norm_ppf, sax_breakpoints
 from repro.summaries.simd import batch_mindist2
 from tests.helpers import mindist2_ref, znormed

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.core.distance import ed2_batch
-from repro.summaries.dft import dft_components
 from repro.summaries.sfa import N_CANDIDATE_COEFFS, SFASummary
 from repro.summaries.simd import batch_mindist2
 from repro.datasets.generators import seismic, sine_mix
@@ -20,7 +19,7 @@ def test_fit_shapes(l, alphabet):
     s = fit(l=l, alphabet=alphabet)
     assert s.edges.shape == (l, alphabet + 1)
     assert s.weights.shape == (l,)
-    assert len(s.sel) == l
+    assert s.coeffs.shape == s.imag.shape == (l,)
 
 
 def test_edges_monotone_nondecreasing():
@@ -55,12 +54,12 @@ def test_variance_selection_prefers_high_variance():
     x = znormalize(sine_mix(400, 128, seed=1, n_components=1,
                             freq_lo=9 / 128, freq_hi=9.01 / 128, noise=0.05))
     s = SFASummary.fit(x, l=4, alphabet=8)
-    assert 9 in {s.space.labels[i][0] for i in s.sel}
+    assert 9 in s.coeffs
 
 
 def test_dc_excluded_from_selection():
     s = fit()
-    assert all(s.space.labels[i][0] >= 1 for i in s.sel)
+    assert (s.coeffs >= 1).all()
 
 
 def test_candidate_restriction_respected():
@@ -69,7 +68,7 @@ def test_candidate_restriction_respected():
                             freq_lo=30 / 128, freq_hi=30.01 / 128, noise=0.05))
     s = SFASummary.fit(x, l=16, alphabet=8)
     assert N_CANDIDATE_COEFFS == 16
-    assert all(1 <= s.space.labels[i][0] <= 16 for i in s.sel)
+    assert ((1 <= s.coeffs) & (s.coeffs <= 16)).all()
 
 
 def test_too_few_candidates_raises():
@@ -77,6 +76,20 @@ def test_too_few_candidates_raises():
     # the Nyquist real part at k=8
     with pytest.raises(ValueError, match="only 15 candidate components"):
         fit(n=16, l=16)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_raises(bad):
+    X = znormed(100, 64, seed=4).astype(np.float64)
+    X[17, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SFASummary.fit(X, l=8, alphabet=16)
+
+
+def test_layout_shape_mismatch_raises():
+    s = fit(l=4, alphabet=4)
+    with pytest.raises(ValueError, match="imag shape"):
+        SFASummary(s.n, s.coeffs, s.imag[:3], s.edges, s.alphabet)
 
 
 def test_bad_binning_raises():
@@ -104,10 +117,14 @@ def test_approx_bit_equal_to_selected_dft_components(n, selection, rows):
     components after DC in order (a low-pass selection, set directly)."""
     s = fit(n=n)
     if selection == "first":
-        s = SFASummary(n=n, sel=np.arange(1, s.l + 1), space=s.space, edges=s.edges,
-                       alphabet=s.alphabet)
+        # real then imaginary part of coefficients 1..l/2
+        s = SFASummary(n=n, coeffs=np.repeat(np.arange(1, s.l // 2 + 1), 2),
+                       imag=np.arange(s.l) % 2 == 1, edges=s.edges, alphabet=s.alphabet)
     x = znormed(rows, n, seed=8)
-    assert np.array_equal(s.approx(x), dft_components(x, s.space)[:, s.sel])
+    spec = np.fft.rfft(x.astype(np.float64), axis=1) / np.sqrt(n)
+    ref = np.stack([spec[:, k].imag if im else spec[:, k].real
+                    for k, im in zip(s.coeffs, s.imag)], axis=1)
+    assert np.array_equal(s.approx(x), ref)
 
 
 def test_length_mismatch_raises():

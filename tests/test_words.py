@@ -1,7 +1,8 @@
-"""The word quantizer shared by iSAX and SFA (``SymbolicSummary``): the
-grid-guided ``words_from_approx`` against a per-position ``searchsorted``,
-on and around every edge, the rejection of non-finite input, and the
-threaded row-block pass of ``words`` against one whole-batch pass."""
+"""The word quantizer shared by iSAX and SFA (``SymbolicSummary``):
+``words_from_approx`` and the threaded row-block pass of ``words``
+against the reference ``words_ref`` on and around every edge, the
+rejection of non-finite input and of unusable edges, and blocked words
+against one whole-batch pass."""
 import threading
 
 import numpy as np
@@ -61,6 +62,41 @@ def test_words_match_per_position_searchsorted(alphabet, kind):
     words = s.words_from_approx(a)
     np.testing.assert_array_equal(words, words_ref(a, s.edges))
     assert words.dtype == np.uint8 and words.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", ["decreasing", "nan", "inf"])
+def test_summary_rejects_unusable_edges(bad):
+    inner = sax_breakpoints(8)
+    if bad == "decreasing":
+        inner[[2, 3]] = inner[[3, 2]]
+    else:
+        inner[3] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ValueError, match="interior edges"):
+        summary_of([inner, sax_breakpoints(8)])
+
+
+class Columns(SymbolicSummary):
+    """A summary whose approx values are the series' own values."""
+
+    def approx(self, x):
+        return np.asarray(x, dtype=np.float64)
+
+
+@pytest.mark.parametrize("alphabet", [4, 256])
+def test_blocked_words_match_reference_on_every_edge(alphabet):
+    """Every full block of ``words`` holds every interior edge and 1 ulp
+    either side of it, at a different offset in each block."""
+    rows = edge_rows(alphabet)
+    inner = np.stack([rows["sax"], rows["sfa_equi_depth_duplicates"], rows["all_equal"]])
+    s = Columns(l=3, alphabet=alphabet, edges=summary_of(inner).edges, weights=np.ones(3))
+    vals = np.concatenate([inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)],
+                          axis=1)
+    X = np.concatenate([np.resize(np.roll(vals, 37 * b, axis=1), (3, BLOCK_ROWS)).T
+                        for b in range(3)])[:2 * BLOCK_ROWS + 1]
+    words = s.words(X)
+    for lo in range(0, len(X), BLOCK_ROWS):
+        np.testing.assert_array_equal(words[lo:lo + BLOCK_ROWS],
+                                      words_ref(X[lo:lo + BLOCK_ROWS], s.edges))
 
 
 @pytest.mark.parametrize("binning", ["equi_width", "equi_depth"])
