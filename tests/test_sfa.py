@@ -82,7 +82,7 @@ def test_too_few_candidates_raises():
 def test_non_finite_sample_raises(bad):
     X = znormed(100, 64, seed=4).astype(np.float64)
     X[17, 5] = bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="sample values must be finite"):
         SFASummary.fit(X, l=8, alphabet=16)
 
 
