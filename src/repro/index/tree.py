@@ -24,12 +24,16 @@ the early-abandoning ``ed2_batch(q, X, rows=, bound2=)``: a row is dropped
 at the first column cut where its partial distance passes the BSF. Rows
 the BSF can still admit are merged into the current top-k by ``select_topk``.
 
-The queue is drained in *chunks* of ``_CHUNK_ROWS`` series (batch
-``DeleteMin``): the BSF updates between chunks rather than between
-single leaves. Exactness holds for any chunk size, since a leaf is only
-skipped when its LBD exceeds the current BSF; the chunks replace per-leaf
-Python overhead with wide NumPy kernels, the role SIMD plays in the
-paper.
+The queue is drained in *batches* (batch ``DeleteMin``): the seed batch
+is the fewest leading leaves whose rows reach ``k``, so the BSF is finite
+after it and every later ED call has a bound; each later batch holds at
+least ``_FIRST_CHUNK_ROWS`` rows, doubling from batch to batch. The BSF
+thus tightens after 4, 8, 16... leaves of 128 rows, early when it moves
+most, and a query that visits every leaf still runs only a logarithmic
+number of batches. Exactness holds for any batch sizes, since a leaf is
+only skipped when its LBD exceeds the current BSF; the batches replace
+per-leaf Python overhead with wide NumPy kernels, the role SIMD plays in
+the paper.
 
 The paper's multi-threaded index workers map to Spark partitions in
 this repo (each partition owns an independent TreeIndex; see
@@ -49,8 +53,9 @@ from repro.summaries.common import SymbolicSummary
 from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mindist2,
                                   mindist2_table)
 
-# Series per batch DeleteMin; any value yields the same exact result.
-_CHUNK_ROWS = 2048
+# Series in the first batch DeleteMin after the seed, doubled for every
+# later batch; any value yields the same exact result.
+_FIRST_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -184,18 +189,20 @@ class TreeIndex:
         queue_d2 = leaf_d2[order]
         queue_end = np.cumsum(np.diff(self.leaf_start)[order])  # rows through each leaf
 
-        # the most promising leaf seeds the BSF with real distances
-        st.leaves_visited += 1
-        process(rows(order[:1]))
+        # the fewest most promising leaves that hold k rows seed the BSF
+        # with real distances, so every later ED call has a finite bound
+        i = int(np.searchsorted(queue_end, k)) + 1
+        st.leaves_visited += i
+        process(rows(order[:i]))
 
-        # drain the queue in chunks of at least _CHUNK_ROWS rows; stop when
-        # the head can't reach the BSF
-        i = 1
+        # drain the queue in batches of at least _FIRST_CHUNK_ROWS rows,
+        # doubling each time; stop when the head can't reach the BSF
+        chunk = _FIRST_CHUNK_ROWS
         while i < n_leaves and queue_d2[i] <= keep2():
-            j = int(min(np.searchsorted(queue_end, queue_end[i - 1] + _CHUNK_ROWS) + 1,
+            j = int(min(np.searchsorted(queue_end, queue_end[i - 1] + chunk) + 1,
                         np.searchsorted(queue_d2, keep2(), side="right")))
             st.leaves_visited += j - i
             process(rows(order[i:j]))
-            i = j
+            i, chunk = j, 2 * chunk
 
         return [(float(d), int(i)) for d, i in zip(np.sqrt(best_d2), best_ids)]

@@ -201,12 +201,12 @@ def test_exact_for_any_leaf_size(name, builder, leaf_size):
 
 @pytest.mark.parametrize("chunk_rows", [1, 64, 100_000])
 def test_exact_for_any_chunk_granularity(chunk_rows, monkeypatch):
-    monkeypatch.setattr(tree, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(tree, "_FIRST_CHUNK_ROWS", chunk_rows)
     X = znormed(300, 64, seed=23)
-    idx = build_sofa(X, leaf_size=16)
     q = znormed(1, 64, seed=24)[0]
-    got = idx.knn(q, k=4)
-    assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 4)]
+    for leaf_size, k in ((16, 4), (4, 10)):  # k within one leaf, k over several
+        got = build_sofa(X, leaf_size=leaf_size).knn(q, k=k)
+        assert [i for _, i in got] == [i for _, i in brute_knn(X, q, k)]
 
 
 @pytest.mark.parametrize("name,builder", BUILDERS)
@@ -357,3 +357,56 @@ def test_knn_looks_up_kernels_in_tree_module(monkeypatch):
     assert calls["batch_mindist2"] >= calls["ed2_batch"] >= 1
     assert st.series_ed_abandoned == sum(abandoned) > 0
     assert st.series_ed_abandoned < st.series_ed_computed
+
+
+def _record_kernel_calls(monkeypatch) -> dict:
+    """Wrap the tree's per-series kernels; return their recorded calls."""
+    calls = {"ed2_batch": [], "batch_mindist2": []}
+
+    def recording(name):
+        fn = getattr(tree, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tree, name, recording(name))
+    return calls
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("leaf_size", [1, 4, 128])
+@pytest.mark.parametrize("k", [1, 10])
+def test_only_the_seed_batch_is_verified_without_a_bound(name, builder, leaf_size, k,
+                                                         monkeypatch):
+    """The seed batch holds at least k rows, so every later ED call is bounded."""
+    X = make_dataset("LenDB", scale=0.1).astype(np.float32)
+    Q = make_queries("LenDB", 3, scale=0.1).astype(np.float32)
+    idx = builder(X, leaf_size=leaf_size)
+    calls = _record_kernel_calls(monkeypatch)
+    for q in Q:
+        calls["ed2_batch"].clear()
+        got = idx.knn(q, k=k)
+        assert [i for _, i in got] == [i for _, i in brute_knn(X, q, k)]
+        unbounded = [c for c in calls["ed2_batch"] if c["bound2"] == np.inf]
+        assert len(unbounded) == 1
+        assert len(unbounded[0]["rows"]) >= min(k, len(X))
+        assert calls["ed2_batch"][0] is unbounded[0]
+
+
+def test_batches_double_when_every_leaf_is_visited(monkeypatch):
+    """A MESSI query that visits every leaf drains the queue in a
+    logarithmic number of batches: the seed, then 512, 1024, ... rows."""
+    X = znormed(16_384, 64, seed=31).astype(np.float32)
+    Q = znormed(3, 64, seed=32).astype(np.float32)
+    idx = build_messi(X, leaf_size=32)
+    calls = _record_kernel_calls(monkeypatch)
+    for q in Q:
+        calls["batch_mindist2"].clear()
+        st = SearchStats()
+        got = idx.knn(q, k=10, stats=st)
+        assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 10)]
+        assert st.leaves_visited == st.n_leaves
+        assert len(calls["batch_mindist2"]) <= 2 + int(np.ceil(np.log2(len(X) / 512)))
