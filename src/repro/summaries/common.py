@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.distance import check_series
 
 #: rows per block of the threaded word pass in ``SymbolicSummary.words``
+#: and of the threaded verification of a large batch in ``TreeIndex.knn``
 BLOCK_ROWS = 4096
 
 

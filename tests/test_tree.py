@@ -1,4 +1,6 @@
 """Tests for the z-order leaf index: build invariants and exact search."""
+import threading
+
 import numpy as np
 import pytest
 
@@ -398,10 +400,12 @@ def test_only_the_seed_batch_is_verified_without_a_bound(name, builder, leaf_siz
 
 def test_batches_double_when_every_leaf_is_visited(monkeypatch):
     """A MESSI query that visits every leaf drains the queue in a
-    logarithmic number of batches: the seed, then 512, 1024, ... rows."""
+    logarithmic number of batches: the seed, then 512, 1024, ... rows.
+    With no batch split into blocks, each batch is one LBD kernel call."""
     X = znormed(16_384, 64, seed=31).astype(np.float32)
     Q = znormed(3, 64, seed=32).astype(np.float32)
     idx = build_messi(X, leaf_size=32)
+    monkeypatch.setattr(tree, "BLOCK_ROWS", len(X))
     calls = _record_kernel_calls(monkeypatch)
     for q in Q:
         calls["batch_mindist2"].clear()
@@ -410,3 +414,108 @@ def test_batches_double_when_every_leaf_is_visited(monkeypatch):
         assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 10)]
         assert st.leaves_visited == st.n_leaves
         assert len(calls["batch_mindist2"]) <= 2 + int(np.ceil(np.log2(len(X) / 512)))
+
+
+def _knn_with_stats(idx, Q, k) -> list:
+    """Answers and every ``SearchStats`` field of ``idx.knn`` per query."""
+    out = []
+    for q in Q:
+        st = SearchStats()
+        out.append((idx.knn(q, k=k, stats=st), vars(st)))
+    return out
+
+
+def _counting_pool(monkeypatch) -> list:
+    """Make the tree start its pools through a stub; return the pools started."""
+    started = []
+
+    class Pool(tree.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "ThreadPoolExecutor", Pool)
+    return started
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("k", [1, 10])
+def test_blocked_drain_equals_serial_drain(name, builder, block_rows, k, monkeypatch):
+    """A batch verified in blocks on the query's pool gives the answers and
+    counters of one whole-batch pass. Rows repeated five times tie exactly,
+    so the order among copies falls to the id in both."""
+    rng = np.random.default_rng(41)
+    X = np.repeat(znormed(200, 64, seed=42), 5, axis=0)
+    ids = rng.permutation(len(X))
+    idx = builder(X, ids=ids, leaf_size=8)
+    Q = np.concatenate([X[::125], X[::125] + rng.normal(0, 0.3, (8, 64)).astype(np.float32)])
+    monkeypatch.setattr(tree, "BLOCK_ROWS", len(X))
+    serial = _knn_with_stats(idx, Q, k)
+    monkeypatch.setattr(tree, "BLOCK_ROWS", block_rows)
+    pools = _counting_pool(monkeypatch)
+    blocked = _knn_with_stats(idx, Q, k)
+    assert pools
+    assert blocked == serial
+    for q, (got, _) in zip(Q, blocked):
+        exp = brute_knn(X, q, k, ids=ids)
+        assert [i for _, i in got] == [i for _, i in exp]
+        np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp], rtol=1e-12)
+
+
+def test_one_pool_per_query_and_no_thread_outlives_it(monkeypatch):
+    """A query whose batches span several blocks starts one pool, however
+    many batches it splits, and shuts it down before returning."""
+    X = znormed(2_000, 64, seed=43)
+    Q = znormed(3, 64, seed=44)
+    idx = build_messi(X, leaf_size=16)
+    monkeypatch.setattr(tree, "BLOCK_ROWS", 64)
+    pools = _counting_pool(monkeypatch)
+    calls = _record_kernel_calls(monkeypatch)
+    before = threading.active_count()
+    for n, q in enumerate(Q, 1):
+        st = SearchStats()
+        got = idx.knn(q, k=10, stats=st)
+        assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 10)]
+        assert len(pools) == n
+        assert threading.active_count() == before
+    assert st.leaves_visited == st.n_leaves
+    assert len(calls["batch_mindist2"]) >= len(Q) * len(X) / 64  # one call per block
+
+
+def test_a_failing_block_reaches_the_caller_and_stops_the_pool(monkeypatch):
+    """An error raised by a block's kernel on a pool thread is raised by
+    ``knn``, and the pool's threads are gone when it is."""
+    X = znormed(2_000, 64, seed=45)
+    q = znormed(1, 64, seed=46)[0]
+    idx = build_messi(X, leaf_size=16)
+    monkeypatch.setattr(tree, "BLOCK_ROWS", 64)
+    pools = _counting_pool(monkeypatch)
+    ed2_batch, raised_on = tree.ed2_batch, []
+
+    def failing(*args, **kwargs):
+        if kwargs["bound2"] == np.inf:  # the seed batch, verified inline
+            return ed2_batch(*args, **kwargs)
+        raised_on.append(threading.current_thread())
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(tree, "ed2_batch", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        idx.knn(q, k=10)
+    assert len(pools) == 1
+    assert raised_on and threading.main_thread() not in raised_on
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+def test_batches_of_one_block_start_no_pool(name, builder, monkeypatch):
+    """A collection of at most ``BLOCK_ROWS`` rows is verified inline, even
+    by a query that visits every leaf."""
+    X = znormed(tree.BLOCK_ROWS, 64, seed=47)
+    Q = znormed(2, 64, seed=48)
+    idx = builder(X, leaf_size=32)
+    pools = _counting_pool(monkeypatch)
+    for q in Q:
+        assert [i for _, i in idx.knn(q, k=10)] == [i for _, i in brute_knn(X, q, 10)]
+    assert not pools
