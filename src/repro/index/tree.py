@@ -44,16 +44,15 @@ large batches, the paper's query workers sharing one BSF: a batch of
 more than ``BLOCK_ROWS`` rows is split into ``BLOCK_ROWS``-row blocks,
 each LBD-filtered and verified against the one bound fixed when the
 batch starts, on a thread pool that the first such batch starts and the
-``knn`` call shuts down when it returns or raises. The NumPy kernels
-release the GIL; the blocks' survivors are joined in block order and
-merged into the top-k on the calling thread, so answers and counters
-equal one whole-batch pass. Smaller batches run inline and start no
-pool: a 3,000-row Spark partition never starts one, and on engine-hf 4
-of 1,024 SOFA queries did, against every MESSI query.
-``SearchStats`` exposes
-hardware-independent work counters used by the experiment harnesses to
-explain *why* one method beats another, independent of Python/C constant
-factors.
+``knn`` call shuts down when it returns or raises. Much of the NumPy
+kernels' work releases the GIL. The blocks' survivors are joined in
+block order and merged into the top-k on the calling thread, so answers
+and counters equal one whole-batch pass. Smaller batches run inline and
+start no pool: a 3,000-row Spark partition never starts one, and on
+engine-hf 4 of 1,024 SOFA queries did, against every MESSI query.
+``SearchStats`` exposes hardware-independent work counters used by the
+experiment harnesses to explain *why* one method beats another,
+independent of Python/C constant factors.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor

@@ -510,8 +510,8 @@ def test_a_failing_block_reaches_the_caller_and_stops_the_pool(monkeypatch):
 
 @pytest.mark.parametrize("name,builder", BUILDERS)
 def test_batches_of_one_block_start_no_pool(name, builder, monkeypatch):
-    """A collection of at most ``BLOCK_ROWS`` rows is verified inline, even
-    by a query that visits every leaf."""
+    """Every batch of a collection of ``BLOCK_ROWS`` rows is verified
+    inline, so no query on it starts a pool."""
     X = znormed(tree.BLOCK_ROWS, 64, seed=47)
     Q = znormed(2, 64, seed=48)
     idx = builder(X, leaf_size=32)
