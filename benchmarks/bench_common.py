@@ -20,12 +20,11 @@ def warm_search_callable(spark, *, dataset: str, method: str, partitions: int,
     cfg = SearchConfig(dataset=dataset, method=method, partitions=partitions,
                        k=k, n_queries=n_queries, scale=scale,
                        sampling=sampling)
-    df, queries, summary, token, leaf = run_search_config(spark, cfg, _DF_CACHE)
+    df, queries, summary, token = run_search_config(spark, cfg, _DF_CACHE)
 
     def call():
         return exact_knn(df, queries, k=k, method=METHOD_KEYS[method],
-                         summary=summary, leaf_size=leaf,
-                         cache_token=token).toPandas()
+                         summary=summary, cache_token=token).toPandas()
 
     call()  # build engines into the executor cache
     return call

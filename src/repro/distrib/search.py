@@ -43,6 +43,7 @@ from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
 from repro.index.sofa import build_sofa
+from repro.index.tree import LEAF_ROWS
 from repro.summaries.sfa import SFASummary
 
 METHODS = ("sofa", "messi", "ucr", "flat")
@@ -124,7 +125,7 @@ def _merge(local: pd.DataFrame, k: int) -> pd.DataFrame:
 
 def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
               method: str = "sofa", summary: SFASummary | None = None,
-              leaf_size: int = 128, cache_token: str | None = None) -> DataFrame:
+              leaf_size: int = LEAF_ROWS, cache_token: str | None = None) -> DataFrame:
     """Exact k-NN of each query against a ``(id, series)`` DataFrame.
 
     Returns a Spark DataFrame ``(query_id, series_id, dist, rank)`` with

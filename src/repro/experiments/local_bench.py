@@ -19,15 +19,13 @@ import pandas as pd
 from repro.baselines.flat_l2 import flat_knn
 from repro.baselines.ucr_scan import ucr_knn
 from repro.datasets.registry import make_dataset, make_queries
-from repro.experiments.runner import _leaf_size_for
 from repro.index.messi import build_messi
 from repro.index.sofa import build_sofa
 from repro.index.tree import SearchStats
 
 
 def local_knn_sweep(datasets, ks=(1, 3, 5, 10, 20, 50), *, n_queries=20,
-                    scale: float = 1.0, leaf_size: int = 256,
-                    seed: int = 7) -> pd.DataFrame:
+                    scale: float = 1.0, seed: int = 7) -> pd.DataFrame:
     """Engine-level Table III: median per-query ms per (method, k).
 
     Indexes are built once per dataset and reused across k (the paper's
@@ -37,9 +35,7 @@ def local_knn_sweep(datasets, ks=(1, 3, 5, 10, 20, 50), *, n_queries=20,
     for name in datasets:
         X = make_dataset(name, scale=scale, seed=seed).astype(np.float32)
         Q = make_queries(name, n_queries, scale=scale, seed=seed).astype(np.float32)
-        leaf = _leaf_size_for(len(X), leaf_size)
-        engines = {"MESSI": build_messi(X, leaf_size=leaf),
-                   "SOFA": build_sofa(X, leaf_size=leaf, seed=seed)}
+        engines = {"MESSI": build_messi(X), "SOFA": build_sofa(X, seed=seed)}
         for k in ks:
             runs = {"FAISS": lambda: flat_knn(X, Q, k=k),
                     "MESSI": lambda: [engines["MESSI"].knn(q, k=k) for q in Q],
@@ -59,18 +55,17 @@ def local_knn_sweep(datasets, ks=(1, 3, 5, 10, 20, 50), *, n_queries=20,
 
 def local_engine_times(datasets, methods=("UCR suite", "FAISS", "MESSI", "SOFA"),
                        *, k: int = 1, n_queries: int = 20, scale: float = 1.0,
-                       leaf_size: int = 256, seed: int = 7) -> pd.DataFrame:
+                       seed: int = 7) -> pd.DataFrame:
     """Per-query ms and pruning ratio per (dataset, method), in-process."""
     rows = []
     for name in datasets:
         X = make_dataset(name, scale=scale, seed=seed).astype(np.float32)
         Q = make_queries(name, n_queries, scale=scale, seed=seed).astype(np.float32)
-        leaf = _leaf_size_for(len(X), leaf_size)
         engines = {}
         if "MESSI" in methods:
-            engines["MESSI"] = build_messi(X, leaf_size=leaf)
+            engines["MESSI"] = build_messi(X)
         if "SOFA" in methods:
-            engines["SOFA"] = build_sofa(X, leaf_size=leaf, seed=seed)
+            engines["SOFA"] = build_sofa(X, seed=seed)
         for method in methods:
             if method in engines:
                 idx = engines[method]

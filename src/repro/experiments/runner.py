@@ -34,15 +34,8 @@ class SearchConfig:
     k: int = 1
     n_queries: int = 20
     scale: float = 1.0
-    leaf_size: int = 256
     sampling: float = 0.01
     seed: int = 7
-
-
-def _leaf_size_for(n: int, requested: int) -> int:
-    """Scale the paper's leaf size (20k at N=100M) to the dataset tier:
-    roughly N/80, clamped — keeps the leaf-count regime comparable."""
-    return int(np.clip(n // 80, 32, requested))
 
 
 def run_search_config(spark: SparkSession, cfg: SearchConfig,
@@ -51,7 +44,7 @@ def run_search_config(spark: SparkSession, cfg: SearchConfig,
 
     ``df_cache`` (optional dict) reuses the cached Spark DataFrame across
     configs of the same (dataset, partitions, scale) to amortize upload.
-    Returns (df, queries, summary, token, leaf_size).
+    Returns (df, queries, summary, token).
     """
     key = (cfg.dataset, cfg.partitions, cfg.scale, cfg.seed)
     if df_cache is not None and key in df_cache:
@@ -67,10 +60,9 @@ def run_search_config(spark: SparkSession, cfg: SearchConfig,
     summary = None
     if cfg.method == "SOFA":
         summary = fit_sfa_spark(df, fraction=cfg.sampling, seed=cfg.seed)
-    leaf = _leaf_size_for(len(X), cfg.leaf_size)
     token = f"{cfg.dataset}:{cfg.scale}:{cfg.partitions}:{cfg.seed}:" \
-            f"{cfg.method}:{leaf}:{cfg.sampling}"
-    return df, queries, summary, token, leaf
+            f"{cfg.method}:{cfg.sampling}"
+    return df, queries, summary, token
 
 
 def timed_search(spark: SparkSession, cfg: SearchConfig,
@@ -91,13 +83,12 @@ def timed_search(spark: SparkSession, cfg: SearchConfig,
 
     Returns ``{"ms_per_query": float, "result": pandas DataFrame}``.
     """
-    df, queries, summary, token, leaf = run_search_config(spark, cfg, df_cache)
+    df, queries, summary, token = run_search_config(spark, cfg, df_cache)
     method_key = METHOD_KEYS[cfg.method]
 
     def call(qs, use_token):
         return exact_knn(df, qs, k=cfg.k, method=method_key,
-                         summary=summary, leaf_size=leaf,
-                         cache_token=use_token).toPandas()
+                         summary=summary, cache_token=use_token).toPandas()
 
     if mode == "marginal":
         # cache_token=None: both actions deterministically ship + build,

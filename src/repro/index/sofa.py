@@ -9,13 +9,13 @@ from a Spark sample) and reuses it for every partition's sub-index.
 """
 import numpy as np
 
-from repro.index.tree import TreeIndex
+from repro.index.tree import LEAF_ROWS, TreeIndex
 from repro.summaries.sfa import MIN_SAMPLE, SAMPLE_FRAC, SFASummary
 
 
 def build_sofa(X: np.ndarray, ids: np.ndarray | None = None, *,
                summary: SFASummary | None = None,
-               l: int = 16, alphabet: int = 256, leaf_size: int = 128,
+               l: int = 16, alphabet: int = 256, leaf_size: int = LEAF_ROWS,
                seed: int = 0) -> TreeIndex:
     """Build a SOFA index over z-normalized series matrix ``X`` (N, n).
 

@@ -7,8 +7,9 @@ Layout (one build path for SOFA, MESSI and every Spark partition):
   are MESSI's 1-bit root key and each further plane refines every
   position by one bit, the order a split-by-cardinality tree would
   reach;
-- the sorted order is cut into runs of ``leaf_size`` rows, so every leaf
-  but the last is full (bottom-up full-leaf build, as in Coconut);
+- the sorted order is cut into runs of ``leaf_size`` rows (``LEAF_ROWS``
+  = 64 unless a caller asks for another size), so every leaf but the
+  last is full (bottom-up full-leaf build, as in Coconut);
 - each leaf stores the per-position min/max **symbol box** of its rows
   as uint8 symbols ``leaf_lo``/``leaf_hi`` (both inclusive). The box
   contains every member's symbol, so its LBD is a lower bound for every
@@ -28,7 +29,7 @@ The queue is drained in *batches* (batch ``DeleteMin``): the seed batch
 is the fewest leading leaves whose rows reach ``k``, so the BSF is finite
 after it and every later ED call has a bound; each later batch holds at
 least ``_FIRST_CHUNK_ROWS`` rows, doubling from batch to batch. The BSF
-thus tightens after 4, 8, 16... leaves of 128 rows, early when it moves
+thus tightens after 8, 16, 32... leaves of 64 rows, early when it moves
 most, and a query that visits every leaf still runs only a logarithmic
 number of batches. Exactness holds for any batch sizes, since a leaf is
 only skipped when its LBD exceeds the current BSF; the batches replace
@@ -49,7 +50,7 @@ kernels' work releases the GIL. The blocks' survivors are joined in
 block order and merged into the top-k on the calling thread, so answers
 and counters equal one whole-batch pass. Smaller batches run inline and
 start no pool: a 3,000-row Spark partition never starts one, and on
-engine-hf 4 of 1,024 SOFA queries did, against every MESSI query.
+engine-hf none of 1,024 SOFA queries did, against every MESSI query.
 ``SearchStats`` exposes hardware-independent work counters used by the
 experiment harnesses to explain *why* one method beats another,
 independent of Python/C constant factors.
@@ -68,6 +69,12 @@ from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mi
 # Series in the first batch DeleteMin after the seed, doubled for every
 # later batch; any value yields the same exact result.
 _FIRST_CHUNK_ROWS = 512
+
+# Series per leaf of every tree (SOFA, MESSI, each Spark partition). A
+# smaller leaf has a tighter symbol box, so fewer rows of a visited leaf
+# pay the per-series LBD; below about 64 the leaf-box pass and the extra
+# leaves cost more than that saves.
+LEAF_ROWS = 64
 
 
 @dataclass
@@ -112,23 +119,26 @@ class TreeIndex:
     The rows are kept as ``stored_rows(X)``: float32 (a float32 ``X`` is
     held as is) unless that would round a value, then float64.
     ``ids`` are the external identifiers returned from queries (defaults
-    to 0..N-1); ``leaf_size`` is the number of series per leaf.
+    to 0..N-1); they are stored in leaf order as ``ids_perm``, which is
+    ``perm`` itself when ``ids`` is None. ``leaf_size`` is the number of
+    series per leaf.
     """
 
     def __init__(self, summary: SymbolicSummary, X: np.ndarray,
-                 ids: np.ndarray | None = None, leaf_size: int = 128):
+                 ids: np.ndarray | None = None, leaf_size: int = LEAF_ROWS):
         self.summary = summary
         self.X = stored_rows(X)
         n_rows = self.X.shape[0]
-        self.ids = np.arange(n_rows, dtype=np.int64) if ids is None \
-            else np.asarray(ids, dtype=np.int64)
-        if len(self.ids) != n_rows:
-            raise ValueError("ids length != number of series")
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.int64)
+            if len(ids) != n_rows:
+                raise ValueError("ids length != number of series")
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         self.leaf_size = leaf_size
         words = summary.words(self.X)  # (N, l) uint8; rejects NaN/inf series
         self.perm = _zorder(words, summary.bits)
+        self.ids_perm = self.perm if ids is None else ids[self.perm]
         self.words_perm = words[self.perm]
         self.leaf_start = np.append(np.arange(0, n_rows, leaf_size), n_rows)
         starts = self.leaf_start[:-1]
@@ -203,7 +213,7 @@ class TreeIndex:
             st.series_ed_abandoned += int(np.count_nonzero(d2s == np.inf))
             cand = d2s <= bound2
             d2s = np.append(best_d2, d2s[cand])
-            ids = np.append(best_ids, self.ids[self.perm[surv[cand]]])
+            ids = np.append(best_ids, self.ids_perm[surv[cand]])
             top = select_topk(d2s, ids, k)
             best_d2, best_ids = d2s[top], ids[top]
 

@@ -1,10 +1,12 @@
 """Tests for the z-order leaf index: build invariants and exact search."""
+import inspect
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core.znorm import znormalize
+from repro.distrib.search import exact_knn
 from repro.datasets.generators import seismic, sine_mix, vector_gaussian
 from repro.datasets.registry import make_dataset, make_queries
 from repro.index import build_messi, build_sofa
@@ -174,6 +176,31 @@ def test_bad_leaf_size_raises():
         build_messi(znormed(5, 32), leaf_size=0)
 
 
+@pytest.mark.parametrize("fn", [TreeIndex, build_sofa, build_messi, exact_knn])
+def test_every_tree_defaults_to_leaf_rows(fn):
+    """SOFA, MESSI and every Spark partition share one leaf size."""
+    assert inspect.signature(fn).parameters["leaf_size"].default == tree.LEAF_ROWS
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+def test_default_ids_are_the_leaf_order_itself(name, builder):
+    """Without ids, the leaf-order ids are ``perm`` itself, not a copy."""
+    idx = builder(znormed(300, 64, seed=9))
+    assert idx.ids_perm is idx.perm
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+def test_shuffled_ids_are_stored_in_leaf_order(name, builder):
+    X = znormed(300, 64, seed=10)
+    ids = np.random.default_rng(11).permutation(300) * 7 + 5
+    idx = builder(X, ids=ids, leaf_size=16)
+    np.testing.assert_array_equal(idx.ids_perm, ids[idx.perm])
+    for q in znormed(4, 64, seed=12):
+        got, exp = idx.knn(q, k=5), brute_knn(X, q, 5, ids=ids)
+        assert [i for _, i in got] == [i for _, i in exp]
+        np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp], rtol=1e-12)
+
+
 # ----------------------------------------------------------------- search
 @pytest.mark.parametrize("name,builder", BUILDERS)
 @pytest.mark.parametrize("kind", ["noise", "seismic", "sine", "vector"])
@@ -247,6 +274,19 @@ def test_stats_populated_and_pruning_on_clustered_data():
     assert st.n_series == len(X)
     assert st.series_ed_computed >= 1
     assert st.pruning_ratio > 0.5  # SFA prunes hard on clustered seismic
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+def test_default_leaf_size_exact_on_lendb(name, builder):
+    X = make_dataset("LenDB", scale=0.3).astype(np.float32)
+    Q = make_queries("LenDB", 8, scale=0.3).astype(np.float32)
+    idx = builder(X)
+    assert idx.leaf_size == tree.LEAF_ROWS
+    for k in (1, 10):
+        for q in Q:
+            got, exp = idx.knn(q, k=k), brute_knn(X, q, k)
+            assert [i for _, i in got] == [i for _, i in exp]
+            np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp], rtol=1e-12)
 
 
 def test_sofa_prunes_better_than_messi_on_high_freq():
