@@ -23,8 +23,8 @@ for _name in ("LenDB", "Astro"):
     _Q = make_queries(_name, 20, scale=1.0).astype(np.float32)
     DATA[_name] = {
         "X": _X, "Q": _Q,
-        "SOFA": build_sofa(_X, leaf_size=len(_X) // 80),
-        "MESSI": build_messi(_X, leaf_size=len(_X) // 80),
+        "SOFA": build_sofa(_X),
+        "MESSI": build_messi(_X),
     }
 
 
