@@ -72,8 +72,9 @@ _FIRST_CHUNK_ROWS = 512
 
 # Series per leaf of every tree (SOFA, MESSI, each Spark partition). A
 # smaller leaf has a tighter symbol box, so fewer rows of a visited leaf
-# pay the per-series LBD; below about 64 the leaf-box pass and the extra
-# leaves cost more than that saves.
+# pay the per-series LBD, but the leaf-box pass grows with the leaf count:
+# SOFA queries ran slower at 32 and 256 rows than at 64 on 48,000- and
+# 240,000-row collections, and at 128 on every size from 3,000 to 240,000.
 LEAF_ROWS = 64
 
 

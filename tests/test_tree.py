@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.znorm import znormalize
-from repro.distrib.search import exact_knn
 from repro.datasets.generators import seismic, sine_mix, vector_gaussian
 from repro.datasets.registry import make_dataset, make_queries
+from repro.distrib.search import exact_knn
 from repro.index import build_messi, build_sofa
 from repro.index import tree
 from repro.index.tree import SearchStats, TreeIndex
