@@ -48,13 +48,13 @@ def run_search_config(spark: SparkSession, cfg: SearchConfig,
     """
     key = (cfg.dataset, cfg.partitions, cfg.scale, cfg.seed)
     if df_cache is not None and key in df_cache:
-        df, X = df_cache[key]
+        df = df_cache[key]
     else:
         X = make_dataset(cfg.dataset, scale=cfg.scale, seed=cfg.seed)
         df = series_df(spark, X, num_partitions=cfg.partitions).cache()
         df.count()
         if df_cache is not None:
-            df_cache[key] = (df, X)
+            df_cache[key] = df
     queries = make_queries(cfg.dataset, cfg.n_queries, scale=cfg.scale,
                            seed=cfg.seed)
     summary = None

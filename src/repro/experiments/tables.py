@@ -47,7 +47,7 @@ def _per_dataset_times(spark, datasets, methods, cores_list, *, k=1,
                 out = timed_search(spark, cfg, df_cache)
                 rows.append({"dataset": name, "method": method, "cores": cores,
                              "ms": out["ms_per_query"]})
-    for df, _ in df_cache.values():
+    for df in df_cache.values():
         df.unpersist()
     return pd.DataFrame(rows)
 
@@ -167,7 +167,7 @@ def table2_scaled(spark: SparkSession,
             out = timed_search(spark, cfg, df_cache, mode="marginal")
             rows.append({"dataset": name, "method": method,
                          "ms": round(out["ms_per_query"], 2)})
-    for df, _ in df_cache.values():
+    for df in df_cache.values():
         df.unpersist()
     return pd.DataFrame(rows).pivot(index="dataset", columns="method",
                                     values="ms").reset_index()
@@ -190,7 +190,7 @@ def faiss_crossover(spark: SparkSession, dataset="SCEDC",
             out = timed_search(spark, cfg, df_cache, mode="marginal")
             rows.append({"n_series": n, "method": method,
                          "ms": round(out["ms_per_query"], 2)})
-    for df, _ in df_cache.values():
+    for df in df_cache.values():
         df.unpersist()
     return pd.DataFrame(rows).pivot(index="n_series", columns="method",
                                     values="ms").reset_index()

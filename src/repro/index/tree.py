@@ -9,7 +9,12 @@ Layout (one build path for SOFA, MESSI and every Spark partition):
   reach;
 - the sorted order is cut into runs of ``leaf_size`` rows (``LEAF_ROWS``
   = 64 unless a caller asks for another size), so every leaf but the
-  last is full (bottom-up full-leaf build, as in Coconut);
+  last is full (bottom-up full-leaf build, as in Coconut) and leaf ``i``
+  is rows ``[i * leaf_size, min((i + 1) * leaf_size, N))``: the leaf
+  offsets follow from ``N`` and ``leaf_size`` and are not stored;
+- the row order is kept as ``perm`` in the narrowest unsigned type that
+  holds ``N - 1`` (uint8 up to 256 rows, uint16 up to 65,536, then
+  uint32), a quarter or less of an int64 array;
 - each leaf stores the per-position min/max **symbol box** of its rows
   as uint8 symbols ``leaf_lo``/``leaf_hi`` (both inclusive). The box
   contains every member's symbol, so its LBD is a lower bound for every
@@ -120,9 +125,11 @@ class TreeIndex:
     The rows are kept as ``stored_rows(X)``: float32 (a float32 ``X`` is
     held as is) unless that would round a value, then float64.
     ``ids`` are the external identifiers returned from queries (defaults
-    to 0..N-1); they are stored in leaf order as ``ids_perm``, which is
-    ``perm`` itself when ``ids`` is None. ``leaf_size`` is the number of
-    series per leaf.
+    to 0..N-1); they are stored in leaf order as ``ids_perm``: int64 for
+    caller-given ids, else ``perm`` itself, whose dtype is the narrowest
+    unsigned type that holds ``N - 1``. ``leaf_size`` is the number of
+    series per leaf; leaf ``i`` holds the rows
+    ``[i * leaf_size, min((i + 1) * leaf_size, N))`` of the leaf order.
     """
 
     def __init__(self, summary: SymbolicSummary, X: np.ndarray,
@@ -138,13 +145,18 @@ class TreeIndex:
             raise ValueError("leaf_size must be >= 1")
         self.leaf_size = leaf_size
         words = summary.words(self.X)  # (N, l) uint8; rejects NaN/inf series
-        self.perm = _zorder(words, summary.bits)
+        self.perm = _zorder(words, summary.bits).astype(np.min_scalar_type(max(n_rows - 1, 0)))
         self.ids_perm = self.perm if ids is None else ids[self.perm]
         self.words_perm = words[self.perm]
-        self.leaf_start = np.append(np.arange(0, n_rows, leaf_size), n_rows)
-        starts = self.leaf_start[:-1]
+        starts = np.arange(0, n_rows, leaf_size)
         self.leaf_lo = np.minimum.reduceat(self.words_perm, starts)
         self.leaf_hi = np.maximum.reduceat(self.words_perm, starts)
+
+    @property
+    def leaf_start(self) -> np.ndarray:
+        """Row offsets of the leaves in the leaf order, then ``N``."""
+        n_rows = self.X.shape[0]
+        return np.append(np.arange(0, n_rows, self.leaf_size), n_rows)
 
     def structure_stats(self) -> dict:
         """Leaf-shape statistics (paper Figure 8): leaf count and fill."""
@@ -164,7 +176,7 @@ class TreeIndex:
         check_k(k)
         q = np.ascontiguousarray(q, dtype=np.float64).ravel()
         check_series(q[None, :], "query", self.X.shape[1])
-        n_rows, n_leaves = self.X.shape[0], len(self.leaf_start) - 1
+        n_rows, n_leaves, size = self.X.shape[0], len(self.leaf_lo), self.leaf_size
         if n_rows == 0:
             return []
         k = min(k, n_rows)
@@ -218,11 +230,12 @@ class TreeIndex:
             top = select_topk(d2s, ids, k)
             best_d2, best_ids = d2s[top], ids[top]
 
+        lane = np.arange(size)
+
         def rows(lids: np.ndarray) -> np.ndarray:
             """Row positions of the leaves ``lids``, leaf after leaf."""
-            starts = self.leaf_start[lids]
-            sizes = self.leaf_start[lids + 1] - starts
-            return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+            sel = (lids[:, None] * size + lane).ravel()
+            return sel if n_rows % size == 0 else sel[sel < n_rows]
 
         # leaf-box LBD of every leaf in one vectorized pass: the priority
         # queue of MESSI, materialized at once
@@ -230,7 +243,9 @@ class TreeIndex:
                                           weights, table=table)
         order = np.argsort(leaf_d2, kind="stable")
         queue_d2 = leaf_d2[order]
-        queue_end = np.cumsum(np.diff(self.leaf_start)[order])  # rows through each leaf
+        sizes = np.full(n_leaves, size)
+        sizes[-1] = n_rows - (n_leaves - 1) * size
+        queue_end = np.cumsum(sizes[order])  # rows through each leaf
 
         # the fewest most promising leaves that hold k rows seed the BSF
         # with real distances, so every later ED call has a finite bound

@@ -1,6 +1,7 @@
 """The paired-run summary of ``tools/bench_pairs.py``: seed lists, win
-counts in each metric's direction, each side's quartiles, and pairs left
-out for errors, wrong answers or more failed operations."""
+counts in each metric's direction, each side's quartiles, pairs left out
+for errors, wrong answers or more failed operations, and the per-metric
+verdict."""
 from tools.bench_pairs import parse_seeds, summarize
 
 SPEC = {"end_to_end": [
@@ -55,3 +56,35 @@ def test_summarize_leaves_out_wrong_or_failing_pairs():
         {"errored": 1, "incorrect": 1, "failed": 3}
     assert {k: s["change"][k] for k in ("errored", "incorrect", "failed")} == \
         {"errored": 0, "incorrect": 1, "failed": 3}
+
+
+def verdicts(parent: list[float], change: list[float], name="setup_s") -> str:
+    return summarize([run({name: p}, {name: c}) for p, c in zip(parent, change)],
+                     SPEC)[name]["verdict"]
+
+
+def test_deterministic_metric_that_wins_every_pair_is_a_gain():
+    """A metric with no spread (parent IQR 0) gains when it wins 10/10."""
+    assert verdicts([0.0248] * 10, [0.0188] * 10) == "gain"
+    assert verdicts([0.5] * 10, [0.6] * 10, name="fill") == "gain"
+
+
+def test_ties_count_for_neither_side():
+    """Nine tenths of all pairs must be wins: a tie is no win."""
+    assert verdicts([1.0] * 10, [0.9] * 9 + [1.0]) == "gain"
+    assert verdicts([1.0] * 10, [0.9] * 8 + [1.0] * 2) == "level"
+
+
+def test_a_gain_needs_a_gap_beyond_the_parents_spread():
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2  # IQR 0.4
+    assert verdicts(parent, [p - 0.1 for p in parent]) == "level"
+    assert verdicts(parent, [p - 0.5 for p in parent]) == "gain"
+
+
+def test_worse_beyond_the_relative_bound_in_each_direction():
+    """``setup_s`` may rise by 25 % and ``fill`` fall by 5 % before the
+    change reads worse."""
+    assert verdicts([0.4] * 10, [0.45] * 10) == "level"
+    assert verdicts([0.4] * 10, [0.55] * 10) == "worse"
+    assert verdicts([0.5] * 10, [0.48] * 10, name="fill") == "level"
+    assert verdicts([0.5] * 10, [0.45] * 10, name="fill") == "worse"

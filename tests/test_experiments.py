@@ -52,7 +52,7 @@ def test_table2_all_methods_agree_on_results(spark):
                            n_queries=4, scale=0.05)
         r = timed_search(spark, cfg, df_cache)["result"]
         results[m] = r.sort_values("query_id").series_id.tolist()
-    for df, _ in df_cache.values():
+    for df in df_cache.values():
         df.unpersist()
     vals = list(results.values())
     assert all(v == vals[0] for v in vals)

@@ -201,6 +201,37 @@ def test_shuffled_ids_are_stored_in_leaf_order(name, builder):
         np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp], rtol=1e-12)
 
 
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("n_rows,dtype", [(256, np.uint8), (257, np.uint16),
+                                          (65_536, np.uint16), (65_537, np.uint32)])
+def test_perm_is_the_narrowest_unsigned_type(name, builder, n_rows, dtype):
+    """``perm`` holds row positions in the narrowest unsigned type, so the
+    last row is still found on both sides of each type's limit; caller ids
+    keep int64, beyond the range of any row position."""
+    X = znormed(n_rows, 32, seed=13)
+    idx = builder(X)
+    assert idx.perm.dtype == dtype
+    assert idx.knn(X[-1], k=1) == [(0.0, n_rows - 1)]
+    big = builder(X, ids=2**40 + np.arange(n_rows))
+    assert big.ids_perm.dtype == np.int64
+    assert big.knn(X[-1], k=1) == [(0.0, 2**40 + n_rows - 1)]
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("n_rows", [1, 200, 640])
+def test_index_arrays_are_words_perm_and_leaf_boxes(name, builder, n_rows):
+    """Besides the rows, an index without ids keeps one word and one row
+    position per row and a two-word box per leaf; the leaf offsets follow
+    from ``leaf_size`` and are not stored."""
+    idx = builder(znormed(n_rows, 64, seed=14))
+    arrays = {id(v): v for v in vars(idx).values()
+              if isinstance(v, np.ndarray) and v is not idx.X}
+    n_leaves, l = -(-n_rows // tree.LEAF_ROWS), idx.summary.l
+    assert sum(a.nbytes for a in arrays.values()) == \
+        n_rows * l + n_rows * idx.perm.itemsize + 2 * n_leaves * l
+    assert "leaf_start" not in vars(idx)
+
+
 # ----------------------------------------------------------------- search
 @pytest.mark.parametrize("name,builder", BUILDERS)
 @pytest.mark.parametrize("kind", ["noise", "seismic", "sine", "vector"])

@@ -11,7 +11,11 @@ output). ``BENCH_<workload>.json`` in the repository root is rewritten
 after every pair. It holds the SHAs, nproc and MemTotal, every run's
 metrics and answer counts, and per end-to-end metric of ``BENCHMARK.json``
 each side's median and quartiles, the change's wins, losses and ties, the
-gap between the medians and the parent's interquartile range. A pair
+gap between the medians, the parent's interquartile range and a verdict:
+``gain`` when the change wins at least nine tenths of the pairs (ties count
+for neither) and the gap exceeds the parent's interquartile range,
+``worse`` when the change's median is worse than the parent's by more than
+the metric's relative ``bound``, else ``level``. A pair
 counts only if both sides ran, answered correctly and the change failed no
 more operations than the parent; each side's errored and incorrect runs
 and failed operations are counted over all pairs. Standard library only.
@@ -89,10 +93,21 @@ def usable(run: dict) -> bool:
             and change.get("failed", 0) <= parent.get("failed", 0))
 
 
+def verdict(wins: int, pairs: int, median_gap: float, parent_iqr: float,
+            parent_median: float, bound: float) -> str:
+    """``gain``, ``worse`` or ``level``, by the rule in the module docstring;
+    ``median_gap`` is positive when the change's median is better."""
+    if 10 * wins >= 9 * pairs and median_gap > parent_iqr:
+        return "gain"
+    if -median_gap > bound * abs(parent_median):
+        return "worse"
+    return "level"
+
+
 def summarize(runs: list[dict], spec: dict) -> dict:
     """Per end-to-end metric over the usable pairs: each side's median and
-    quartiles, and the change's wins (better), losses and ties; with each
-    side's errored, incorrect and failed counts over all pairs."""
+    quartiles, the change's wins (better), losses and ties, and the verdict;
+    with each side's errored, incorrect and failed counts over all pairs."""
     health = {"parent": counts(runs, "parent"), "change": counts(runs, "change")}
     kept = [r for r in runs if usable(r)]
     out = {}
@@ -105,14 +120,17 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             continue
         parent = {**quartiles([p for p, _ in pairs]), **health["parent"]}
         change = {**quartiles([c for _, c in pairs]), **health["change"]}
+        wins = sum(sign * (p - c) > 0 for p, c in pairs)
+        median_gap = sign * (parent["median"] - change["median"])
+        parent_iqr = parent["q3"] - parent["q1"]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(pairs),
-            "parent": parent, "change": change,
-            "wins": sum(sign * (p - c) > 0 for p, c in pairs),
+            "parent": parent, "change": change, "wins": wins,
             "losses": sum(sign * (p - c) < 0 for p, c in pairs),
             "ties": sum(p == c for p, c in pairs),
-            "median_gap": sign * (parent["median"] - change["median"]),
-            "parent_iqr": parent["q3"] - parent["q1"],
+            "median_gap": median_gap, "parent_iqr": parent_iqr,
+            "verdict": verdict(wins, len(pairs), median_gap, parent_iqr,
+                               parent["median"], m["bound"]),
         }
     return out
 
@@ -155,8 +173,9 @@ def main(argv=None) -> int:
                 f"{side} {run[side].get('error') or run[side]['metrics']}" for side in order),
                 flush=True)
         for name, s in report.get("summary", {}).items():
-            print(f"{name}: parent {s['parent']['median']:.6g} [{s['parent']['q1']:.6g}, "
-                  f"{s['parent']['q3']:.6g}] -> change {s['change']['median']:.6g}; "
+            print(f"{name}: {s['verdict']}; parent {s['parent']['median']:.6g} "
+                  f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "
+                  f"{s['change']['median']:.6g}; "
                   f"wins {s['wins']}/{s['pairs']}, gap {s['median_gap']:.4g} "
                   f"vs parent IQR {s['parent_iqr']:.4g}; errored/incorrect/failed "
                   f"parent {s['parent']['errored']}/{s['parent']['incorrect']}/"
