@@ -14,7 +14,7 @@ Layout (one build path for SOFA, MESSI and every Spark partition):
   offsets follow from ``N`` and ``leaf_size`` and are not stored;
 - the row order is kept as ``perm`` in the narrowest unsigned type that
   holds ``N - 1`` (uint8 up to 256 rows, uint16 up to 65,536, then
-  uint32), a quarter or less of an int64 array;
+  uint32), not int64;
 - each leaf stores the per-position min/max **symbol box** of its rows
   as uint8 symbols ``leaf_lo``/``leaf_hi`` (both inclusive). The box
   contains every member's symbol, so its LBD is a lower bound for every
@@ -230,7 +230,7 @@ class TreeIndex:
             top = select_topk(d2s, ids, k)
             best_d2, best_ids = d2s[top], ids[top]
 
-        lane = np.arange(size)
+        lane = np.arange(min(size, n_rows))  # one leaf when leaf_size > N
 
         def rows(lids: np.ndarray) -> np.ndarray:
             """Row positions of the leaves ``lids``, leaf after leaf."""
