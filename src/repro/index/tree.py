@@ -32,30 +32,33 @@ the BSF can still admit are merged into the current top-k by ``select_topk``.
 
 The queue is drained in *batches* (batch ``DeleteMin``): the seed batch
 is the fewest leading leaves whose rows reach ``k``, so the BSF is finite
-after it and every later ED call has a bound; each later batch holds at
-least ``_FIRST_CHUNK_ROWS`` rows, doubling from batch to batch. The BSF
-thus tightens after 8, 16, 32... leaves of 64 rows, early when it moves
-most, and a query that visits every leaf still runs only a logarithmic
-number of batches. Exactness holds for any batch sizes, since a leaf is
-only skipped when its LBD exceeds the current BSF; the batches replace
-per-leaf Python overhead with wide NumPy kernels, the role SIMD plays in
-the paper.
+after it and every later ED call has a bound; the next batches hold at
+least ``_FIRST_CHUNK_ROWS`` rows, doubling from batch to batch, and the
+batch that would reach ``_LAST_CHUNK_ROWS`` takes every leaf whose box LBD
+the BSF still admits, after which the drain ends. The BSF thus tightens
+after 8, 16 and 32 leaves of 64 rows, early when it moves most, and a
+query that visits every leaf runs five batches. Exactness holds for any
+batch sizes, since a leaf is only skipped when its LBD exceeds the
+current BSF; the batches replace per-leaf Python overhead with wide NumPy
+kernels, the role SIMD plays in the paper.
 
 The paper's multi-threaded index workers map to Spark partitions in
 this repo (each partition owns an independent TreeIndex; see
 ``repro.distrib``). In process, a build spreads its word pass over
 threads: ``SymbolicSummary.words`` computes and quantizes every batch in
-row blocks on a per-call thread pool. A query does the same with its
-large batches, the paper's query workers sharing one BSF: a batch of
-more than ``BLOCK_ROWS`` rows is split into ``BLOCK_ROWS``-row blocks,
-each LBD-filtered and verified against the one bound fixed when the
-batch starts, on a thread pool that the first such batch starts and the
-``knn`` call shuts down when it returns or raises. Much of the NumPy
-kernels' work releases the GIL. The blocks' survivors are joined in
-block order and merged into the top-k on the calling thread, so answers
+row blocks on a per-call thread pool. A query does the same with a large
+batch, the paper's query workers sharing one BSF: a batch of more than
+``BLOCK_ROWS`` rows is split into one run of whole leaves per core, in
+queue order, each LBD-filtered and verified against the one bound fixed
+when the batch starts, on a thread pool that the first such batch starts
+and the ``knn`` call shuts down when it returns or raises. Much of the
+NumPy kernels' work releases the GIL. The runs' survivors are joined in
+queue order and merged into the top-k on the calling thread, so answers
 and counters equal one whole-batch pass. Smaller batches run inline and
-start no pool: a 3,000-row Spark partition never starts one, and on
-engine-hf none of 1,024 SOFA queries did, against every MESSI query.
+start no pool: a 3,000-row Spark partition never starts one. On
+engine-hf, a MESSI query runs its seed and its 512- to 2,048-row batches
+inline and the rest, about 44,000 rows, in one pooled pass; of 512 SOFA
+queries, none with k = 1 and 4 with k = 10 send a batch to the pool.
 ``SearchStats`` exposes hardware-independent work counters used by the
 experiment harnesses to explain *why* one method beats another,
 independent of Python/C constant factors.
@@ -74,6 +77,13 @@ from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mi
 # Series in the first batch DeleteMin after the seed, doubled for every
 # later batch; any value yields the same exact result.
 _FIRST_CHUNK_ROWS = 512
+
+# The batch that would reach this many series takes every leaf the BSF
+# still admits instead, so a query that visits most leaves meets its
+# threads once more, not once per doubling; any value yields the same
+# exact result. Not tied to BLOCK_ROWS, which only decides whether a batch
+# is verified on the query's pool.
+_LAST_CHUNK_ROWS = 4096
 
 # Series per leaf of every tree (SOFA, MESSI, each Spark partition). A
 # smaller leaf has a tighter symbol box, so fewer rows of a visited leaf
@@ -193,31 +203,43 @@ class TreeIndex:
             """Largest squared LBD or distance that can still hold a top-k answer."""
             return best_d2[-1] * PRUNE_SLACK if len(best_d2) == k else np.inf
 
-        def verify(sel: np.ndarray, bound2: float) -> tuple[np.ndarray, np.ndarray]:
-            """LBD-filter the permuted row positions ``sel`` and verify the
-            survivors against ``bound2``: the survivors and their squared EDs."""
+        lane = np.arange(min(size, n_rows))  # one leaf when leaf_size > N
+
+        def rows(lids: np.ndarray) -> np.ndarray:
+            """Row positions of the leaves ``lids``, leaf after leaf."""
+            sel = (lids[:, None] * size + lane).ravel()
+            return sel if n_rows % size == 0 else sel[sel < n_rows]
+
+        def verify(lids: np.ndarray, bound2: float) -> tuple[np.ndarray, np.ndarray]:
+            """LBD-filter the rows of the leaves ``lids`` and verify the
+            survivors against ``bound2``: their permuted row positions and
+            squared EDs."""
+            sel = rows(lids)
             lbd2 = batch_mindist2(qvals, self.words_perm[sel], edges, weights, table=table)
             surv = sel[lbd2 <= bound2]
             if len(surv) == 0:
                 return surv, np.empty(0)
             return surv, ed2_batch(q, self.X, rows=self.perm[surv], bound2=bound2)
 
-        pool = None  # started by the first batch of more than one block
+        pool = None  # started by the first batch of more than BLOCK_ROWS rows
 
-        def process(sel: np.ndarray) -> None:
-            """Verify ``sel`` against the current BSF and merge it into the top-k."""
+        def process(lids: np.ndarray, n_sel: int) -> None:
+            """Verify the ``n_sel`` rows of the leaves ``lids`` against the
+            current BSF and merge them into the top-k."""
             nonlocal best_d2, best_ids, pool
-            st.series_lbd_checked += len(sel)
+            st.leaves_visited += len(lids)
+            st.series_lbd_checked += n_sel
             bound2 = keep2()
-            if len(sel) <= BLOCK_ROWS:
-                surv, d2s = verify(sel, bound2)
+            if n_sel <= BLOCK_ROWS:
+                surv, d2s = verify(lids, bound2)
             else:
-                # every block is filtered and verified against the same
-                # bound, so the result equals one whole-batch pass
+                # one run of whole leaves per core, each filtered and
+                # verified against the same bound, so the result equals
+                # one whole-batch pass
                 if pool is None:
                     pool = ThreadPoolExecutor(os.cpu_count() or 1)
-                parts = list(pool.map(lambda lo: verify(sel[lo:lo + BLOCK_ROWS], bound2),
-                                      range(0, len(sel), BLOCK_ROWS)))
+                runs = np.array_split(lids, min(os.cpu_count() or 1, len(lids)))
+                parts = list(pool.map(lambda run: verify(run, bound2), runs))
                 surv = np.concatenate([s for s, _ in parts])
                 d2s = np.concatenate([d for _, d in parts])
             if len(surv) == 0:
@@ -229,13 +251,6 @@ class TreeIndex:
             ids = np.append(best_ids, self.ids_perm[surv[cand]])
             top = select_topk(d2s, ids, k)
             best_d2, best_ids = d2s[top], ids[top]
-
-        lane = np.arange(min(size, n_rows))  # one leaf when leaf_size > N
-
-        def rows(lids: np.ndarray) -> np.ndarray:
-            """Row positions of the leaves ``lids``, leaf after leaf."""
-            sel = (lids[:, None] * size + lane).ravel()
-            return sel if n_rows % size == 0 else sel[sel < n_rows]
 
         # leaf-box LBD of every leaf in one vectorized pass: the priority
         # queue of MESSI, materialized at once
@@ -251,17 +266,18 @@ class TreeIndex:
         # with real distances, so every later ED call has a finite bound
         i = int(np.searchsorted(queue_end, k)) + 1
         try:
-            st.leaves_visited += i
-            process(rows(order[:i]))
+            process(order[:i], int(queue_end[i - 1]))
 
             # drain the queue in batches of at least _FIRST_CHUNK_ROWS rows,
-            # doubling each time; stop when the head can't reach the BSF
+            # doubling each time; the batch that would reach
+            # _LAST_CHUNK_ROWS takes every leaf the BSF still admits, after
+            # which the head can't reach the BSF and the loop ends
             chunk = _FIRST_CHUNK_ROWS
             while i < n_leaves and queue_d2[i] <= keep2():
-                j = int(min(np.searchsorted(queue_end, queue_end[i - 1] + chunk) + 1,
-                            np.searchsorted(queue_d2, keep2(), side="right")))
-                st.leaves_visited += j - i
-                process(rows(order[i:j]))
+                j = int(np.searchsorted(queue_d2, keep2(), side="right"))
+                if chunk < _LAST_CHUNK_ROWS:
+                    j = min(j, int(np.searchsorted(queue_end, queue_end[i - 1] + chunk)) + 1)
+                process(order[i:j], int(queue_end[j - 1] - queue_end[i - 1]))
                 i, chunk = j, 2 * chunk
         finally:
             if pool is not None:

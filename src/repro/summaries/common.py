@@ -32,8 +32,9 @@ import numpy as np
 
 from repro.core.distance import check_series
 
-#: rows per block of the threaded word pass in ``SymbolicSummary.words``
-#: and of the threaded verification of a large batch in ``TreeIndex.knn``
+#: rows per block of the threaded word pass in ``SymbolicSummary.words``;
+#: ``TreeIndex.knn`` verifies a drain batch of more rows than this on its
+#: per-query pool, split into one run of whole leaves per core
 BLOCK_ROWS = 4096
 
 

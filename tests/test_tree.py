@@ -1,5 +1,6 @@
 """Tests for the z-order leaf index: build invariants and exact search."""
 import inspect
+import os
 import threading
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.index import tree
 from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
-from repro.summaries.simd import batch_interval_mindist2
+from repro.summaries.simd import batch_interval_mindist2, mindist2_table
 from tests.helpers import brute_knn, mindist2_ref, znormed
 
 BUILDERS = [("sofa", build_sofa), ("messi", build_messi)]
@@ -270,6 +271,26 @@ def test_exact_for_any_chunk_granularity(chunk_rows, monkeypatch):
 
 
 @pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("last_rows", [1, 512, 10**9])
+def test_exact_for_any_last_chunk(name, builder, last_rows, monkeypatch):
+    """Any switch to the final batch is exact: right after the seed, after
+    doubling from 16 to 256 rows, or never (pure doubling). 301 rows leave
+    the last leaf partial at both leaf sizes."""
+    monkeypatch.setattr(tree, "_FIRST_CHUNK_ROWS", 16)
+    monkeypatch.setattr(tree, "_LAST_CHUNK_ROWS", last_rows)
+    X = znormed(301, 64, seed=33)
+    Q = znormed(3, 64, seed=34)
+    for leaf_size in (4, 16):
+        idx = builder(X, leaf_size=leaf_size)
+        for k in (1, 10):
+            for q in Q:
+                got, exp = idx.knn(q, k=k), brute_knn(X, q, k)
+                assert [i for _, i in got] == [i for _, i in exp]
+                np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp],
+                                           rtol=1e-12)
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
 def test_query_identical_to_stored_series(name, builder):
     X = znormed(100, 64, seed=25)
     idx = builder(X, leaf_size=8)
@@ -470,9 +491,9 @@ def test_only_the_seed_batch_is_verified_without_a_bound(name, builder, leaf_siz
 
 
 def test_batches_double_when_every_leaf_is_visited(monkeypatch):
-    """A MESSI query that visits every leaf drains the queue in a
-    logarithmic number of batches: the seed, then 512, 1024, ... rows.
-    With no batch split into blocks, each batch is one LBD kernel call."""
+    """A MESSI query that visits every leaf drains the queue in five
+    batches: the seed, 512, 1,024 and 2,048 rows, then every leaf left.
+    With no batch split across the pool, each batch is one LBD kernel call."""
     X = znormed(16_384, 64, seed=31).astype(np.float32)
     Q = znormed(3, 64, seed=32).astype(np.float32)
     idx = build_messi(X, leaf_size=32)
@@ -484,7 +505,7 @@ def test_batches_double_when_every_leaf_is_visited(monkeypatch):
         got = idx.knn(q, k=10, stats=st)
         assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 10)]
         assert st.leaves_visited == st.n_leaves
-        assert len(calls["batch_mindist2"]) <= 2 + int(np.ceil(np.log2(len(X) / 512)))
+        assert len(calls["batch_mindist2"]) == 5
 
 
 def _knn_with_stats(idx, Q, k) -> list:
@@ -509,18 +530,67 @@ def _counting_pool(monkeypatch) -> list:
     return started
 
 
+def _log_lbd_calls(monkeypatch, idx) -> list:
+    """Log every per-series LBD call of ``idx.knn`` as ``(pooled, rows)``:
+    whether it ran on a pool thread, and the leaf-order positions of the
+    rows it filtered, found from their words. A batch handed to the pool
+    logs ``None`` before its calls."""
+    where = {w.tobytes(): r for r, w in enumerate(idx.words_perm)}
+    assert len(where) == len(idx.words_perm)  # every word names one row
+    log, lbd = [], tree.batch_mindist2
+
+    def recording(qvals, words, *args, **kwargs):
+        pooled = threading.current_thread() is not threading.main_thread()
+        log.append((pooled, np.array([where[w.tobytes()] for w in words])))
+        return lbd(qvals, words, *args, **kwargs)
+
+    class Pool(tree.ThreadPoolExecutor):
+        def map(self, *args, **kwargs):
+            log.append(None)
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "batch_mindist2", recording)
+    monkeypatch.setattr(tree, "ThreadPoolExecutor", Pool)
+    return log
+
+
+def _batches(log: list, idx) -> list[tuple[bool, list[np.ndarray]]]:
+    """Split a ``_log_lbd_calls`` log into batches ``(pooled, runs)``, each
+    run the ids of the whole leaves one LBD call filtered, leaf after leaf."""
+    n_rows, size = len(idx.X), idx.leaf_size
+    batches = []
+    for entry in log:
+        if entry is None:
+            batches.append((True, []))
+            continue
+        pooled, rows = entry
+        lids = rows[rows % size == 0] // size
+        whole = (lids[:, None] * size + np.arange(size)).ravel()
+        np.testing.assert_array_equal(rows, whole[whole < n_rows])
+        if pooled:
+            batches[-1][1].append(lids)
+        else:
+            batches.append((False, [lids]))
+    return batches
+
+
 @pytest.mark.parametrize("name,builder", BUILDERS)
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
 @pytest.mark.parametrize("k", [1, 10])
-def test_blocked_drain_equals_serial_drain(name, builder, block_rows, k, monkeypatch):
-    """A batch verified in blocks on the query's pool gives the answers and
-    counters of one whole-batch pass. Rows repeated five times tie exactly,
-    so the order among copies falls to the id in both."""
+@pytest.mark.parametrize("n_rows", [1000, 1003])
+def test_blocked_drain_equals_serial_drain(name, builder, block_rows, k, n_rows,
+                                           monkeypatch):
+    """A batch verified in runs of leaves on the query's pool gives the
+    answers and counters of one whole-batch pass. Rows repeated five times
+    tie exactly, so the order among copies falls to the id in both; at
+    1,003 rows the last leaf is partial."""
     rng = np.random.default_rng(41)
     X = np.repeat(znormed(200, 64, seed=42), 5, axis=0)
+    X = np.concatenate([X, X[:n_rows - len(X)]])
     ids = rng.permutation(len(X))
     idx = builder(X, ids=ids, leaf_size=8)
-    Q = np.concatenate([X[::125], X[::125] + rng.normal(0, 0.3, (8, 64)).astype(np.float32)])
+    Q = X[:1000:125]
+    Q = np.concatenate([Q, Q + rng.normal(0, 0.3, (8, 64)).astype(np.float32)])
     monkeypatch.setattr(tree, "BLOCK_ROWS", len(X))
     serial = _knn_with_stats(idx, Q, k)
     monkeypatch.setattr(tree, "BLOCK_ROWS", block_rows)
@@ -535,23 +605,65 @@ def test_blocked_drain_equals_serial_drain(name, builder, block_rows, k, monkeyp
 
 
 def test_one_pool_per_query_and_no_thread_outlives_it(monkeypatch):
-    """A query whose batches span several blocks starts one pool, however
-    many batches it splits, and shuts it down before returning."""
+    """A query whose batches go to the pool starts one pool, however many
+    batches it sends there, and shuts it down before returning. Each
+    pooled batch makes one LBD call per core, or per leaf when it has
+    fewer leaves than cores."""
     X = znormed(2_000, 64, seed=43)
     Q = znormed(3, 64, seed=44)
     idx = build_messi(X, leaf_size=16)
     monkeypatch.setattr(tree, "BLOCK_ROWS", 64)
     pools = _counting_pool(monkeypatch)
-    calls = _record_kernel_calls(monkeypatch)
+    log = _log_lbd_calls(monkeypatch, idx)
     before = threading.active_count()
     for n, q in enumerate(Q, 1):
+        log.clear()
         st = SearchStats()
         got = idx.knn(q, k=10, stats=st)
         assert [i for _, i in got] == [i for _, i in brute_knn(X, q, 10)]
         assert len(pools) == n
         assert threading.active_count() == before
-    assert st.leaves_visited == st.n_leaves
-    assert len(calls["batch_mindist2"]) >= len(Q) * len(X) / 64  # one call per block
+        assert st.leaves_visited == st.n_leaves
+        pooled = [runs for on_pool, runs in _batches(log, idx) if on_pool]
+        assert len(pooled) == 3  # 512 and 1,024 rows, then the rest
+        for runs in pooled:
+            leaves = sum(len(run) for run in runs)
+            assert len(runs) == min(os.cpu_count(), leaves)
+
+
+@pytest.mark.parametrize("name,builder", BUILDERS)
+@pytest.mark.parametrize("k", [1, 10])
+def test_pooled_runs_are_whole_leaves_in_queue_order(name, builder, k, monkeypatch):
+    """Every LBD call of a pooled batch filters a run of whole leaves, the
+    runs differ by at most one leaf, and together they are the batch, so
+    the batches in order are the visited head of the leaf queue. The last
+    of 5,003 rows' leaves is partial."""
+    X = znormed(5_003, 64, seed=49)
+    Q = znormed(3, 64, seed=50)
+    idx = builder(X, leaf_size=16)
+    monkeypatch.setattr(tree, "BLOCK_ROWS", 64)
+    log = _log_lbd_calls(monkeypatch, idx)
+    s = idx.summary
+    for q in Q:
+        log.clear()
+        st = SearchStats()
+        got = idx.knn(q, k=k, stats=st)
+        assert [i for _, i in got] == [i for _, i in brute_knn(X, q, k)]
+        qv = s.approx(np.asarray(q, np.float64)[None, :])[0]
+        box = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.edges, s.weights,
+                                      table=mindist2_table(qv, s.edges))
+        order = np.argsort(box, kind="stable")
+        place = np.argsort(order)  # queue place of each leaf
+        drained, n_pooled = [], 0
+        for pooled, runs in _batches(log, idx):
+            if pooled:
+                n_pooled += 1
+                assert len(runs) == min(os.cpu_count(), sum(len(run) for run in runs))
+                assert np.ptp([len(run) for run in runs]) <= 1
+                runs = sorted(runs, key=lambda run: place[run[0]])
+            drained += runs
+        assert n_pooled
+        np.testing.assert_array_equal(np.concatenate(drained), order[:st.leaves_visited])
 
 
 def test_a_failing_block_reaches_the_caller_and_stops_the_pool(monkeypatch):
