@@ -79,10 +79,10 @@ from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mi
 _FIRST_CHUNK_ROWS = 512
 
 # The batch that would reach this many series takes every leaf the BSF
-# still admits instead, so a query that visits most leaves meets its
-# threads once more, not once per doubling; any value yields the same
+# still admits instead, so a query that visits most leaves sends the
+# query's pool one batch, not one per doubling; any value yields the same
 # exact result. Not tied to BLOCK_ROWS, which only decides whether a batch
-# is verified on the query's pool.
+# goes to the pool.
 _LAST_CHUNK_ROWS = 4096
 
 # Series per leaf of every tree (SOFA, MESSI, each Spark partition). A

@@ -568,6 +568,7 @@ def _batches(log: list, idx) -> list[tuple[bool, list[np.ndarray]]]:
         whole = (lids[:, None] * size + np.arange(size)).ravel()
         np.testing.assert_array_equal(rows, whole[whole < n_rows])
         if pooled:
+            assert batches and batches[-1][0]  # after its batch's pool.map
             batches[-1][1].append(lids)
         else:
             batches.append((False, [lids]))
@@ -577,31 +578,30 @@ def _batches(log: list, idx) -> list[tuple[bool, list[np.ndarray]]]:
 @pytest.mark.parametrize("name,builder", BUILDERS)
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
 @pytest.mark.parametrize("k", [1, 10])
-@pytest.mark.parametrize("n_rows", [1000, 1003])
-def test_blocked_drain_equals_serial_drain(name, builder, block_rows, k, n_rows,
-                                           monkeypatch):
+def test_blocked_drain_equals_serial_drain(name, builder, block_rows, k, monkeypatch):
     """A batch verified in runs of leaves on the query's pool gives the
     answers and counters of one whole-batch pass. Rows repeated five times
-    tie exactly, so the order among copies falls to the id in both; at
-    1,003 rows the last leaf is partial."""
-    rng = np.random.default_rng(41)
-    X = np.repeat(znormed(200, 64, seed=42), 5, axis=0)
-    X = np.concatenate([X, X[:n_rows - len(X)]])
-    ids = rng.permutation(len(X))
-    idx = builder(X, ids=ids, leaf_size=8)
-    Q = X[:1000:125]
-    Q = np.concatenate([Q, Q + rng.normal(0, 0.3, (8, 64)).astype(np.float32)])
-    monkeypatch.setattr(tree, "BLOCK_ROWS", len(X))
-    serial = _knn_with_stats(idx, Q, k)
-    monkeypatch.setattr(tree, "BLOCK_ROWS", block_rows)
+    tie exactly, so the order among copies falls to the id in both; with
+    three rows more, the last leaf is partial."""
+    base = np.repeat(znormed(200, 64, seed=42), 5, axis=0)
     pools = _counting_pool(monkeypatch)
-    blocked = _knn_with_stats(idx, Q, k)
-    assert pools
-    assert blocked == serial
-    for q, (got, _) in zip(Q, blocked):
-        exp = brute_knn(X, q, k, ids=ids)
-        assert [i for _, i in got] == [i for _, i in exp]
-        np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp], rtol=1e-12)
+    for X in (base, np.concatenate([base, base[:3]])):
+        rng = np.random.default_rng(41)
+        ids = rng.permutation(len(X))
+        idx = builder(X, ids=ids, leaf_size=8)
+        Q = np.concatenate([base[::125],
+                            base[::125] + rng.normal(0, 0.3, (8, 64)).astype(np.float32)])
+        monkeypatch.setattr(tree, "BLOCK_ROWS", len(X))
+        serial = _knn_with_stats(idx, Q, k)
+        monkeypatch.setattr(tree, "BLOCK_ROWS", block_rows)
+        started = len(pools)
+        blocked = _knn_with_stats(idx, Q, k)
+        assert len(pools) > started
+        assert blocked == serial
+        for q, (got, _) in zip(Q, blocked):
+            exp = brute_knn(X, q, k, ids=ids)
+            assert [i for _, i in got] == [i for _, i in exp]
+            np.testing.assert_allclose([d for d, _ in got], [d for d, _ in exp], rtol=1e-12)
 
 
 def test_one_pool_per_query_and_no_thread_outlives_it(monkeypatch):
@@ -667,7 +667,7 @@ def test_pooled_runs_are_whole_leaves_in_queue_order(name, builder, k, monkeypat
 
 
 def test_a_failing_block_reaches_the_caller_and_stops_the_pool(monkeypatch):
-    """An error raised by a block's kernel on a pool thread is raised by
+    """An error raised by a run's kernel on a pool thread is raised by
     ``knn``, and the pool's threads are gone when it is."""
     X = znormed(2_000, 64, seed=45)
     q = znormed(1, 64, seed=46)[0]

@@ -29,24 +29,24 @@ sys.path.append(str(Path(__file__).resolve().parent.parent))  # for perfbench
 
 # (leaf size, k) of every search that is saved
 RUNS = ((64, 1), (64, 10), (32, 50))
-LAYOUT = ("perm", "words_perm", "leaf_lo", "leaf_hi", "leaf_start")
 
 
-def save(path: str, scale: float = 4.0, n_queries: int = 512, seed: int = 1401) -> int:
+def save(path: str, scale: float = 4.0, n_queries: int = 512) -> int:
     """Write the arrays of the module docstring to ``path``; return their count."""
     import repro
     from perfbench.common import workload_inputs
     from repro.index import SearchStats, build_messi, build_sofa
 
-    X, Q = workload_inputs("LenDB", scale, n_queries, seed=seed)
+    X, Q = workload_inputs("LenDB", scale, n_queries, seed=1401)
     print(f"repro from {Path(repro.__file__).parent}: {len(X)} series, {len(Q)} queries")
     out = {}
     for name, build in (("sofa", build_sofa), ("messi", build_messi)):
         for leaf in sorted({leaf for leaf, _ in RUNS}):
             idx = build(X, leaf_size=leaf)
-            for field in LAYOUT:
-                out[f"{name}/{leaf}/{field}"] = getattr(idx, field)
+            # int64 positions compare equal across a change of perm's dtype
             out[f"{name}/{leaf}/perm"] = idx.perm.astype(np.int64)
+            for field in ("words_perm", "leaf_lo", "leaf_hi", "leaf_start"):
+                out[f"{name}/{leaf}/{field}"] = getattr(idx, field)
             for k in [k for run_leaf, k in RUNS if run_leaf == leaf]:
                 res, stats = [], []
                 for q in Q:
