@@ -120,8 +120,8 @@ def make_dataset(name: str, *, scale: float = 1.0, seed: int = 7,
                  znorm: bool = True) -> np.ndarray:
     """Generate the indexing collection for a registry dataset.
 
-    ``scale`` multiplies the repro-tier size (tests use ~0.05, benchmarks
-    1.0). Returns float32 (N, length), z-normalized unless disabled.
+    ``scale`` multiplies the repro-tier size (tests use ~0.05, the table
+    jobs 1.0). Returns float32 (N, length), z-normalized unless disabled.
     """
     spec = REGISTRY[name]
     n = max(16, int(round(spec.repro_n * scale)))

@@ -1,4 +1,5 @@
-"""Driver-local engine timings — the overhead-free companion to Table II.
+"""Driver-local engine timings — the overhead-free companion to Tables II
+and III.
 
 The Spark path pays a fixed per-action cost (task scheduling + Arrow
 shipping of each partition's series) that is identical for all four
@@ -24,66 +25,38 @@ from repro.index.sofa import build_sofa
 from repro.index.tree import SearchStats
 
 
-def local_knn_sweep(datasets, ks=(1, 3, 5, 10, 20, 50), *, n_queries=20,
-                    scale: float = 1.0, seed: int = 7) -> pd.DataFrame:
-    """Engine-level Table III: median per-query ms per (method, k).
+def local_engine_times(datasets, ks=(1,), *, n_queries: int = 20,
+                       scale: float = 1.0, seed: int = 7) -> pd.DataFrame:
+    """Long frame (dataset, method, k, ms, pruning), timed in-process.
 
-    Indexes are built once per dataset and reused across k (the paper's
-    protocol); the UCR scan is only run at k=1, as in the paper.
+    ``ms`` is per query, from one warm call over the whole query batch.
+    Each dataset's trees are built once and reused for every k (the
+    paper's protocol); the UCR scan runs only at k=1, as in the paper.
+    ``pruning`` is the first query's pruning ratio for the two trees and
+    null for the two scans.
     """
     rows = []
     for name in datasets:
         X = make_dataset(name, scale=scale, seed=seed).astype(np.float32)
         Q = make_queries(name, n_queries, scale=scale, seed=seed).astype(np.float32)
-        engines = {"MESSI": build_messi(X), "SOFA": build_sofa(X, seed=seed)}
+        trees = {"MESSI": build_messi(X), "SOFA": build_sofa(X, seed=seed)}
         for k in ks:
-            runs = {"FAISS": lambda: flat_knn(X, Q, k=k),
-                    "MESSI": lambda: [engines["MESSI"].knn(q, k=k) for q in Q],
-                    "SOFA": lambda: [engines["SOFA"].knn(q, k=k) for q in Q]}
-            if k == 1:
-                runs["UCR suite"] = lambda: ucr_knn(X, Q, k=1)
+            runs = {"UCR suite": lambda: ucr_knn(X, Q, k=k),
+                    "FAISS": lambda: flat_knn(X, Q, k=k),
+                    "MESSI": lambda: [trees["MESSI"].knn(q, k=k) for q in Q],
+                    "SOFA": lambda: [trees["SOFA"].knn(q, k=k) for q in Q]}
+            if k != 1:
+                del runs["UCR suite"]
             for method, fn in runs.items():
-                fn()
+                fn()  # warm
                 t0 = time.perf_counter()
                 fn()
+                ms = (time.perf_counter() - t0) / n_queries * 1000
+                pruning = None
+                if method in trees:
+                    st = SearchStats()
+                    trees[method].knn(Q[0], k=k, stats=st)
+                    pruning = round(st.pruning_ratio, 3)
                 rows.append({"dataset": name, "method": method, "k": k,
-                             "ms": (time.perf_counter() - t0) / n_queries * 1000})
-    detail = pd.DataFrame(rows)
-    return (detail.groupby(["method", "k"])["ms"].median().round(2)
-            .unstack("k").reset_index())
-
-
-def local_engine_times(datasets, methods=("UCR suite", "FAISS", "MESSI", "SOFA"),
-                       *, k: int = 1, n_queries: int = 20, scale: float = 1.0,
-                       seed: int = 7) -> pd.DataFrame:
-    """Per-query ms and pruning ratio per (dataset, method), in-process."""
-    rows = []
-    for name in datasets:
-        X = make_dataset(name, scale=scale, seed=seed).astype(np.float32)
-        Q = make_queries(name, n_queries, scale=scale, seed=seed).astype(np.float32)
-        engines = {}
-        if "MESSI" in methods:
-            engines["MESSI"] = build_messi(X)
-        if "SOFA" in methods:
-            engines["SOFA"] = build_sofa(X, seed=seed)
-        for method in methods:
-            if method in engines:
-                idx = engines[method]
-                fn = lambda: [idx.knn(q, k=k) for q in Q]  # noqa: E731
-            elif method == "UCR suite":
-                fn = lambda: ucr_knn(X, Q, k=k)  # noqa: E731
-            else:  # FAISS
-                fn = lambda: flat_knn(X, Q, k=k)  # noqa: E731
-            fn()  # warm
-            t0 = time.perf_counter()
-            fn()
-            ms = (time.perf_counter() - t0) / n_queries * 1000
-            prune = np.nan
-            if method in engines:
-                st = SearchStats()
-                engines[method].knn(Q[0], k=k, stats=st)
-                prune = st.pruning_ratio
-            rows.append({"dataset": name, "method": method,
-                         "ms": round(ms, 2), "pruning": round(prune, 3)
-                         if prune == prune else None})
+                             "ms": round(ms, 2), "pruning": pruning})
     return pd.DataFrame(rows)

@@ -38,37 +38,16 @@ class SearchConfig:
     seed: int = 7
 
 
-def run_search_config(spark: SparkSession, cfg: SearchConfig,
-                      df_cache: dict | None = None):
-    """Prepare (data, queries, summary, cached df) for one configuration.
-
-    ``df_cache`` (optional dict) reuses the cached Spark DataFrame across
-    configs of the same (dataset, partitions, scale) to amortize upload.
-    Returns (df, queries, summary, token).
-    """
-    key = (cfg.dataset, cfg.partitions, cfg.scale, cfg.seed)
-    if df_cache is not None and key in df_cache:
-        df = df_cache[key]
-    else:
-        X = make_dataset(cfg.dataset, scale=cfg.scale, seed=cfg.seed)
-        df = series_df(spark, X, num_partitions=cfg.partitions).cache()
-        df.count()
-        if df_cache is not None:
-            df_cache[key] = df
-    queries = make_queries(cfg.dataset, cfg.n_queries, scale=cfg.scale,
-                           seed=cfg.seed)
-    summary = None
-    if cfg.method == "SOFA":
-        summary = fit_sfa_spark(df, fraction=cfg.sampling, seed=cfg.seed)
-    token = f"{cfg.dataset}:{cfg.scale}:{cfg.partitions}:{cfg.seed}:" \
-            f"{cfg.method}:{cfg.sampling}"
-    return df, queries, summary, token
-
-
 def timed_search(spark: SparkSession, cfg: SearchConfig,
                  df_cache: dict | None = None, *,
                  mode: str = "batch") -> dict:
     """Run one configuration and return per-query latency + result frame.
+
+    The series DataFrame is cached for the run. ``df_cache`` (optional
+    dict) keeps it cached for later configs of the same (dataset,
+    partitions, scale, seed) to amortize upload; the caller unpersists
+    what the dict holds. Without one, the frame is unpersisted before
+    this returns or raises.
 
     ``mode='batch'`` (default): warm call, then batch wall time / Q —
     includes the fixed Spark action cost, which at tier sizes is the
@@ -83,28 +62,46 @@ def timed_search(spark: SparkSession, cfg: SearchConfig,
 
     Returns ``{"ms_per_query": float, "result": pandas DataFrame}``.
     """
-    df, queries, summary, token = run_search_config(spark, cfg, df_cache)
-    method_key = METHOD_KEYS[cfg.method]
+    key = (cfg.dataset, cfg.partitions, cfg.scale, cfg.seed)
+    df = None if df_cache is None else df_cache.get(key)
+    try:
+        if df is None:
+            X = make_dataset(cfg.dataset, scale=cfg.scale, seed=cfg.seed)
+            df = series_df(spark, X, num_partitions=cfg.partitions).cache()
+            if df_cache is not None:
+                df_cache[key] = df
+            df.count()
+        queries = make_queries(cfg.dataset, cfg.n_queries, scale=cfg.scale,
+                               seed=cfg.seed)
+        summary = None
+        if cfg.method == "SOFA":
+            summary = fit_sfa_spark(df, fraction=cfg.sampling, seed=cfg.seed)
+        token = f"{cfg.dataset}:{cfg.scale}:{cfg.partitions}:{cfg.seed}:" \
+                f"{cfg.method}:{cfg.sampling}"
+        method_key = METHOD_KEYS[cfg.method]
 
-    def call(qs, use_token):
-        return exact_knn(df, qs, k=cfg.k, method=method_key,
-                         summary=summary, cache_token=use_token).toPandas()
+        def call(qs, use_token):
+            return exact_knn(df, qs, k=cfg.k, method=method_key,
+                             summary=summary, cache_token=use_token).toPandas()
 
-    if mode == "marginal":
-        # cache_token=None: both actions deterministically ship + build,
-        # so those costs subtract out exactly
-        call(queries, None)  # JIT/page-cache warm-up
+        if mode == "marginal":
+            # cache_token=None: both actions deterministically ship + build,
+            # so those costs subtract out exactly
+            call(queries, None)  # JIT/page-cache warm-up
+            t0 = time.perf_counter()
+            result = call(queries, None)
+            t_small = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            call(np.concatenate([queries] * 3, axis=0), None)
+            t_big = time.perf_counter() - t0
+            ms = max(0.0, (t_big - t_small) / (2 * len(queries)) * 1000.0)
+            return {"ms_per_query": ms, "result": result}
+
+        call(queries, token)  # warm-up: builds engines into the executor cache
         t0 = time.perf_counter()
-        result = call(queries, None)
-        t_small = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        call(np.concatenate([queries] * 3, axis=0), None)
-        t_big = time.perf_counter() - t0
-        ms = max(0.0, (t_big - t_small) / (2 * len(queries)) * 1000.0)
-        return {"ms_per_query": ms, "result": result}
-
-    call(queries, token)  # warm-up: builds engines into the executor cache
-    t0 = time.perf_counter()
-    result = call(queries, token)
-    dt = time.perf_counter() - t0
-    return {"ms_per_query": dt / len(queries) * 1000.0, "result": result}
+        result = call(queries, token)
+        dt = time.perf_counter() - t0
+        return {"ms_per_query": dt / len(queries) * 1000.0, "result": result}
+    finally:
+        if df_cache is None and df is not None:
+            df.unpersist()

@@ -2,8 +2,8 @@
 
 Every function returns a pandas DataFrame shaped like the paper's table
 (see EXPERIMENTS.md for the paper-vs-measured comparison). Defaults are
-the full-size runs used by ``jobs/``; tests and benchmarks pass smaller
-``datasets``/``scale``/``n_queries``.
+the full-size runs used by ``jobs/``; tests pass smaller ``datasets``/
+``scale``/``n_queries``.
 """
 import numpy as np
 import pandas as pd

@@ -1,12 +1,18 @@
 """Small-scale end-to-end runs of the table drivers (structure + sanity).
 
-Full-size numbers are produced by ``jobs/`` and ``benchmarks/``; here the
-drivers run on reduced datasets to verify they produce well-formed,
-internally consistent tables.
+Full-size numbers are produced by ``jobs/``; here the drivers run on
+reduced datasets to verify they produce well-formed, internally
+consistent tables.
 """
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments.local_bench import local_engine_times
 from repro.experiments.runner import SearchConfig, timed_search
 from repro.experiments.tables import (faiss_crossover, table1, table2, table3,
                                       table4, table5, table6)
@@ -31,6 +37,69 @@ def test_timed_search_returns_latency(spark):
     out = timed_search(spark, cfg)
     assert out["ms_per_query"] > 0
     assert len(out["result"]) == 3  # one 1-NN row per query
+
+
+def _persisted(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+# Spark keeps one cached copy per plan, so each case below draws its own
+# data: a frame of the same plan cached elsewhere would hide a leak.
+@pytest.mark.parametrize("mode, seed", [("batch", 21), ("marginal", 22)])
+def test_timed_search_unpersists_its_own_frame(spark, mode, seed):
+    cfg = SearchConfig(dataset="Iquique", method="SOFA", partitions=2,
+                       n_queries=3, scale=0.05, seed=seed)
+    before = _persisted(spark)
+    timed_search(spark, cfg, mode=mode)
+    assert _persisted(spark) == before
+    # a caller's df_cache keeps the frame for its next configuration
+    df_cache = {}
+    timed_search(spark, cfg, df_cache, mode=mode)
+    assert _persisted(spark) == before + 1
+    for df in df_cache.values():
+        df.unpersist()
+    assert _persisted(spark) == before
+
+
+def test_timed_search_unpersists_when_it_raises(spark):
+    cfg = SearchConfig(dataset="Iquique", method="no such method",
+                       partitions=2, n_queries=3, scale=0.05, seed=23)
+    before = _persisted(spark)
+    with pytest.raises(KeyError):
+        timed_search(spark, cfg)
+    assert _persisted(spark) == before
+
+
+def test_local_engine_times_rows_and_pruning():
+    t = local_engine_times(("Iquique", "LenDB"), ks=(1, 3), n_queries=4,
+                           scale=0.1)
+    keys = list(zip(t.dataset, t.method, t.k))
+    assert len(keys) == len(set(keys)) == 2 * (4 + 3)
+    assert set(t[t.method == "UCR suite"].k) == {1}  # as in the paper
+    assert (t.ms > 0).all()
+    trees = t[t.method.isin(["MESSI", "SOFA"])]
+    assert trees.pruning.between(0, 1).all()
+    assert t[t.method.isin(["UCR suite", "FAISS"])].pruning.isna().all()
+
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+
+@pytest.mark.parametrize("path", sorted(JOBS.glob("table*.py")),
+                         ids=lambda p: p.stem)
+def test_job_imports(path):
+    """Each job's imports resolve; its ``__main__`` block does not run."""
+    saved_path, saved_env = sys.path[:], dict(os.environ)
+    sys.path.insert(0, str(JOBS))
+    try:
+        spec = importlib.util.spec_from_file_location(f"job_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    finally:
+        sys.path[:] = saved_path
+        for key in set(os.environ) - set(saved_env):
+            del os.environ[key]
+        os.environ.update(saved_env)
+        sys.modules.pop("_common", None)
 
 
 def test_table2_structure_and_consistency(spark):
