@@ -22,9 +22,9 @@ shipping itself is cheap; the dominant per-action term is the fixed cost
 of a stage that runs Python, equal for every method. A no-op Python stage
 over the 12,000 × 256 LenDB analog under ``local[4]`` on a 4-core host
 took 0.16-0.19 s on a quiet host and 0.45-0.75 s under load. The
-experiment harness therefore offers a marginal-cost protocol
-(``repro.experiments.runner.timed_search(mode='marginal')``) that
-cancels it out. See EXPERIMENTS.md § Table II.
+engines' own per-query cost is therefore timed in-process, without
+Spark (``repro.experiments.local_bench``), including a scale curve
+over N. See EXPERIMENTS.md § Table II.
 """
 from typing import Iterator
 

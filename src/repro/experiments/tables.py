@@ -10,8 +10,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.registry import REGISTRY, make_dataset, make_queries, ucr_like
+from repro.distrib.dataset import series_df
+from repro.distrib.mcb import fit_sfa_spark
 from repro.experiments.runner import (CORES_TO_PARTITIONS, METHOD_KEYS,
-                                      SearchConfig, timed_search)
+                                      timed_search)
 from repro.experiments.tlb import fit_variants, tlb_spark
 
 ALL_DATASETS = tuple(REGISTRY)
@@ -31,24 +33,40 @@ def table1() -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def _per_dataset_times(spark, datasets, methods, cores_list, *, k=1,
+def _per_dataset_times(spark, datasets, methods, cores_list, *, ks=(1,),
                        n_queries=20, scale=1.0, sampling=0.01,
                        seed=7) -> pd.DataFrame:
-    """Long frame (dataset, method, cores, ms) for tables II/III/IV."""
+    """Long frame (dataset, method, cores, k, ms) for tables II/III/IV.
+
+    Each (dataset, cores) series frame is uploaded and cached once for
+    every method and k, and unpersisted before this returns or raises.
+    As in the paper, the UCR suite runs only at k=1.
+    """
     rows = []
-    df_cache: dict = {}
     for name in datasets:
+        X = make_dataset(name, scale=scale, seed=seed)
+        queries = make_queries(name, n_queries, scale=scale, seed=seed)
         for cores in cores_list:
             parts = CORES_TO_PARTITIONS[cores]
-            for method in methods:
-                cfg = SearchConfig(dataset=name, method=method,
-                                   partitions=parts, k=k, n_queries=n_queries,
-                                   scale=scale, sampling=sampling, seed=seed)
-                out = timed_search(spark, cfg, df_cache)
-                rows.append({"dataset": name, "method": method, "cores": cores,
-                             "ms": out["ms_per_query"]})
-    for df in df_cache.values():
-        df.unpersist()
+            df = series_df(spark, X, num_partitions=parts).cache()
+            try:
+                df.count()
+                summary = (fit_sfa_spark(df, fraction=sampling, seed=seed)
+                           if "SOFA" in methods else None)
+                for k in ks:
+                    for method in methods:
+                        if method == "UCR suite" and k != 1:
+                            continue
+                        out = timed_search(
+                            df, queries, method, k=k,
+                            summary=summary if method == "SOFA" else None,
+                            cache_token=f"{name}:{scale}:{parts}:{seed}:"
+                                        f"{method}:{sampling}")
+                        rows.append({"dataset": name, "method": method,
+                                     "cores": cores, "k": k,
+                                     "ms": out["ms_per_query"]})
+            finally:
+                df.unpersist()
     return pd.DataFrame(rows)
 
 
@@ -61,8 +79,8 @@ def table2(spark: SparkSession, datasets=ALL_DATASETS, methods=ALL_METHODS,
     the Figure-12-style SOFA/MESSI speedups.
     """
     detail = _per_dataset_times(spark, datasets, methods, cores_list,
-                                k=1, n_queries=n_queries, scale=scale,
-                                seed=seed)
+                                n_queries=n_queries, scale=scale,
+                                seed=seed).drop(columns="k")
     summary = (detail.groupby(["method", "cores"])["ms"]
                .agg(median="median", mean="mean").round(2).reset_index())
     return summary, detail
@@ -75,15 +93,8 @@ def table3(spark: SparkSession, datasets=ALL_DATASETS,
 
     As in the paper, the UCR suite is only run for k=1.
     """
-    frames = []
-    for k in ks:
-        methods = ALL_METHODS if k == 1 else tuple(m for m in ALL_METHODS
-                                                   if m != "UCR suite")
-        d = _per_dataset_times(spark, datasets, methods, [cores], k=k,
-                               n_queries=n_queries, scale=scale, seed=seed)
-        d["k"] = k
-        frames.append(d)
-    detail = pd.concat(frames, ignore_index=True)
+    detail = _per_dataset_times(spark, datasets, ALL_METHODS, [cores], ks=ks,
+                                n_queries=n_queries, scale=scale, seed=seed)
     return (detail.groupby(["method", "k"])["ms"].median().round(2)
             .unstack("k").reset_index())
 
@@ -94,7 +105,7 @@ def table4(spark: SparkSession, datasets=ALL_DATASETS,
     """Table IV: SOFA query times vs MCB sampling rate."""
     rows = []
     for rate in rates:
-        d = _per_dataset_times(spark, datasets, ["SOFA"], [cores], k=1,
+        d = _per_dataset_times(spark, datasets, ["SOFA"], [cores],
                                n_queries=n_queries, scale=scale,
                                sampling=rate, seed=seed)
         rows.append({"sampling": rate, "mean_ms": round(d["ms"].mean(), 2),
@@ -144,53 +155,3 @@ def table6(spark: SparkSession, datasets=ALL_DATASETS, alphabets=ALPHABETS, *,
         q = make_queries(name, n_queries, scale=scale, seed=seed)
         sets.append((name, x, q))
     return _tlb_table(spark, sets, alphabets, l, partitions, max_eval_series)
-
-
-def table2_scaled(spark: SparkSession,
-                  datasets=("LenDB", "Astro", "SIFT1b"),
-                  methods=ALL_METHODS, *, target_n=160_000, n_queries=20,
-                  seed=7) -> pd.DataFrame:
-    """Table II at paper-like per-partition scale (N~=160k, 16 partitions).
-
-    At the 17-dataset tier sizes (3k-20k) every partition holds so few
-    series that the fixed Spark action cost dominates all methods
-    equally; this scaled run restores the regime where engine cost is
-    visible through the distributed path (see EXPERIMENTS.md).
-    """
-    rows = []
-    df_cache: dict = {}
-    for name in datasets:
-        scale = target_n / REGISTRY[name].repro_n
-        for method in methods:
-            cfg = SearchConfig(dataset=name, method=method, partitions=16,
-                               n_queries=n_queries, scale=scale, seed=seed)
-            out = timed_search(spark, cfg, df_cache, mode="marginal")
-            rows.append({"dataset": name, "method": method,
-                         "ms": round(out["ms_per_query"], 2)})
-    for df in df_cache.values():
-        df.unpersist()
-    return pd.DataFrame(rows).pivot(index="dataset", columns="method",
-                                    values="ms").reset_index()
-
-
-def faiss_crossover(spark: SparkSession, dataset="SCEDC",
-                    n_series=(20_000, 80_000, 320_000), *, n_queries=20,
-                    seed=7) -> pd.DataFrame:
-    """Scale experiment (EXPERIMENTS.md § Table II): FAISS's flat scan is
-    linear in N while SOFA's query cost is ~flat, so the paper's N=100M
-    ordering (SOFA 2-4x faster than FAISS) emerges with growing N.
-    """
-    base = REGISTRY[dataset].repro_n
-    rows = []
-    df_cache: dict = {}
-    for n in n_series:
-        for method in ("FAISS", "SOFA"):
-            cfg = SearchConfig(dataset=dataset, method=method, partitions=16,
-                               n_queries=n_queries, scale=n / base, seed=seed)
-            out = timed_search(spark, cfg, df_cache, mode="marginal")
-            rows.append({"n_series": n, "method": method,
-                         "ms": round(out["ms_per_query"], 2)})
-    for df in df_cache.values():
-        df.unpersist()
-    return pd.DataFrame(rows).pivot(index="n_series", columns="method",
-                                    values="ms").reset_index()

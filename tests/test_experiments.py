@@ -12,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments.local_bench import local_engine_times
-from repro.experiments.runner import SearchConfig, timed_search
-from repro.experiments.tables import (faiss_crossover, table1, table2, table3,
-                                      table4, table5, table6)
+from repro.datasets import make_dataset, make_queries
+from repro.distrib import fit_sfa_spark, series_df
+from repro.experiments import tables
+from repro.experiments.local_bench import local_engine_times, local_scale_curve
+from repro.experiments.runner import METHOD_KEYS, timed_search
+from repro.experiments.tables import (table1, table2, table3, table4, table5,
+                                      table6)
 from repro.experiments.tlb import TLB_METHODS, fit_variants, tlb_spark
 from tests.helpers import znormed
 
@@ -31,10 +34,20 @@ def test_table1_structure():
     assert set(t.freq_profile) == {"low", "high", "flat"}
 
 
+def _search_inputs(spark, dataset, n_queries, seed=7):
+    """A cached 2-partition series frame, its queries and SOFA summary."""
+    X = make_dataset(dataset, scale=0.05, seed=seed)
+    df = series_df(spark, X, num_partitions=2).cache()
+    return (df, make_queries(dataset, n_queries, scale=0.05, seed=seed),
+            fit_sfa_spark(df, seed=seed))
+
+
 def test_timed_search_returns_latency(spark):
-    cfg = SearchConfig(dataset="Iquique", method="SOFA", partitions=2,
-                       n_queries=3, scale=0.05)
-    out = timed_search(spark, cfg)
+    df, queries, summary = _search_inputs(spark, "Iquique", 3)
+    try:
+        out = timed_search(df, queries, "SOFA", summary=summary)
+    finally:
+        df.unpersist()
     assert out["ms_per_query"] > 0
     assert len(out["result"]) == 3  # one 1-NN row per query
 
@@ -44,30 +57,50 @@ def _persisted(spark) -> int:
 
 
 # Spark keeps one cached copy per plan, so each case below draws its own
-# data: a frame of the same plan cached elsewhere would hide a leak.
-@pytest.mark.parametrize("mode, seed", [("batch", 21), ("marginal", 22)])
-def test_timed_search_unpersists_its_own_frame(spark, mode, seed):
-    cfg = SearchConfig(dataset="Iquique", method="SOFA", partitions=2,
-                       n_queries=3, scale=0.05, seed=seed)
+# data: a frame of the same plan cached elsewhere would hide a leak. Both
+# drivers read ``tables.ALL_METHODS`` when called (table3 takes no methods).
+DRIVERS = {
+    "table2": lambda spark, seed: table2(
+        spark, datasets=("Iquique",), methods=tables.ALL_METHODS,
+        cores_list=(9, 18), scale=0.05, n_queries=3, seed=seed),
+    "table3": lambda spark, seed: table3(
+        spark, datasets=("Iquique",), ks=(1, 3), scale=0.05, n_queries=3,
+        seed=seed),
+}
+
+
+@pytest.mark.parametrize("driver, seed", [("table2", 21), ("table3", 22)])
+def test_table_drivers_unpersist_their_frames(spark, monkeypatch, driver,
+                                              seed):
+    monkeypatch.setattr(tables, "ALL_METHODS", ("SOFA",))
     before = _persisted(spark)
-    timed_search(spark, cfg, mode=mode)
-    assert _persisted(spark) == before
-    # a caller's df_cache keeps the frame for its next configuration
-    df_cache = {}
-    timed_search(spark, cfg, df_cache, mode=mode)
-    assert _persisted(spark) == before + 1
-    for df in df_cache.values():
-        df.unpersist()
+    DRIVERS[driver](spark, seed)
     assert _persisted(spark) == before
 
 
-def test_timed_search_unpersists_when_it_raises(spark):
-    cfg = SearchConfig(dataset="Iquique", method="no such method",
-                       partitions=2, n_queries=3, scale=0.05, seed=23)
+@pytest.mark.parametrize("driver, seed", [("table2", 23), ("table3", 24)])
+def test_table_drivers_unpersist_when_they_raise(spark, monkeypatch, driver,
+                                                 seed):
+    monkeypatch.setattr(tables, "ALL_METHODS", ("SOFA", "no such method"))
     before = _persisted(spark)
     with pytest.raises(KeyError):
-        timed_search(spark, cfg)
+        DRIVERS[driver](spark, seed)
     assert _persisted(spark) == before
+
+
+def test_table3_uploads_each_frame_once_for_all_k(spark, monkeypatch):
+    calls = []
+
+    def counting_series_df(*args, **kwargs):
+        calls.append(kwargs.get("num_partitions"))
+        return series_df(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "series_df", counting_series_df)
+    monkeypatch.setattr(tables, "ALL_METHODS", ("SOFA",))
+    t = table3(spark, datasets=("Iquique", "ETHZ"), ks=(1, 3), scale=0.05,
+               n_queries=3, seed=25)
+    assert calls == [16, 16]  # one per (dataset, cores), not per k
+    assert list(t.columns) == ["method", 1, 3]
 
 
 def test_local_engine_times_rows_and_pruning():
@@ -113,15 +146,14 @@ def test_table2_structure_and_consistency(spark):
 
 def test_table2_all_methods_agree_on_results(spark):
     """Every method is exact, so all four return the same neighbors."""
-    from repro.experiments.runner import METHOD_KEYS
+    df, queries, summary = _search_inputs(spark, "ETHZ", 4)
     results = {}
-    df_cache = {}
-    for m in METHOD_KEYS:
-        cfg = SearchConfig(dataset="ETHZ", method=m, partitions=2,
-                           n_queries=4, scale=0.05)
-        r = timed_search(spark, cfg, df_cache)["result"]
-        results[m] = r.sort_values("query_id").series_id.tolist()
-    for df in df_cache.values():
+    try:
+        for m in METHOD_KEYS:
+            r = timed_search(df, queries, m,
+                             summary=summary if m == "SOFA" else None)["result"]
+            results[m] = r.sort_values("query_id").series_id.tolist()
+    finally:
         df.unpersist()
     vals = list(results.values())
     assert all(v == vals[0] for v in vals)
@@ -173,10 +205,11 @@ def test_table6_structure(spark):
     assert ((t[8] >= 0) & (t[8] <= 1)).all()
 
 
-def test_faiss_crossover_shape(spark):
-    t = faiss_crossover(spark, dataset="Iquique", n_series=(300, 600),
-                        n_queries=3)
-    assert set(t.columns) >= {"n_series", "FAISS", "SOFA"}
-    # marginal timings are clipped at 0, so only non-negativity is promised
-    assert (t.FAISS >= 0).all() and (t.SOFA >= 0).all()
-    assert t.notna().all().all()
+def test_local_scale_curve_rows_and_pruning():
+    t = local_scale_curve(("Iquique", "LenDB"), n_series=(300, 600))
+    keys = list(zip(t.dataset, t.n_series, t.method))
+    assert len(keys) == len(set(keys)) == 2 * 2 * 4
+    assert sorted(set(t.n_series)) == [300, 600]
+    assert (t.k == 1).all() and (t.ms > 0).all()
+    assert t[t.method.isin(["MESSI", "SOFA"])].pruning.between(0, 1).all()
+    assert t[t.method.isin(["UCR suite", "FAISS"])].pruning.isna().all()
