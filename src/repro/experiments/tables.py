@@ -75,8 +75,9 @@ def table2(spark: SparkSession, datasets=ALL_DATASETS, methods=ALL_METHODS,
            seed=7) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Table II: 1-NN mean/median query time (ms) per method x cores.
 
-    Returns (summary, per_dataset) — the per-dataset frame also yields
-    the Figure-12-style SOFA/MESSI speedups.
+    Returns (summary, per_dataset). The Figure-12-style SOFA/MESSI
+    speedups come from the engine-level ``local_engine_times`` instead:
+    through Spark the fixed action cost hides the engines' difference.
     """
     detail = _per_dataset_times(spark, datasets, methods, cores_list,
                                 n_queries=n_queries, scale=scale,

@@ -20,6 +20,7 @@ from repro.experiments.runner import METHOD_KEYS, timed_search
 from repro.experiments.tables import (table1, table2, table3, table4, table5,
                                       table6)
 from repro.experiments.tlb import TLB_METHODS, fit_variants, tlb_spark
+from repro.index import SearchStats, build_sofa
 from tests.helpers import znormed
 
 SMALL = dict(scale=0.05, n_queries=4)
@@ -113,6 +114,17 @@ def test_local_engine_times_rows_and_pruning():
     trees = t[t.method.isin(["MESSI", "SOFA"])]
     assert trees.pruning.between(0, 1).all()
     assert t[t.method.isin(["UCR suite", "FAISS"])].pruning.isna().all()
+    # pruning is the mean over the whole batch, not the first query's
+    X = make_dataset("LenDB", scale=0.1).astype(np.float32)
+    Q = make_queries("LenDB", 4, scale=0.1).astype(np.float32)
+    tree = build_sofa(X, seed=7)
+    ratios = []
+    for q in Q:
+        st = SearchStats()
+        tree.knn(q, k=3, stats=st)
+        ratios.append(st.pruning_ratio)
+    got = t[(t.dataset == "LenDB") & (t.method == "SOFA") & (t.k == 3)]
+    assert got.pruning.item() == round(float(np.mean(ratios)), 3)
 
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
