@@ -3,22 +3,10 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
 sys.path.insert(0, SRC)
-# Spark's Python workers start from a fresh interpreter, which finds
-# ``repro`` only through PYTHONPATH.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
-from repro.distrib.session import driver_memory  # noqa: E402
+from repro.distrib.session import configure_launch, get_session  # noqa: E402
 
-os.environ.setdefault("SPARK_DRIVER_MEM", driver_memory())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
+configure_launch(SRC)
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
@@ -26,30 +14,11 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
-
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
-    """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    print(
-        f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
-        file=sys.stderr,
-    )
+    """One local-mode SparkSession for the whole test session, launched with
+    the master and driver memory ``configure_launch`` set above."""
+    s = get_session("repro")
+    print(f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
+          f"master={s.sparkContext.master} "
+          f"defaultParallelism={s.sparkContext.defaultParallelism}", file=sys.stderr)
     yield s
     s.stop()

@@ -2,37 +2,22 @@
 
 Jobs run standalone (``python jobs/table2_1nn.py`` or spark-submit);
 under pytest the same driver functions are called with the conftest
-``spark`` fixture instead.
+``spark`` fixture instead. Both take their Spark settings from
+``repro.distrib.session``.
 """
 import os
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
-# Spark's Python workers start from a fresh interpreter, which finds
-# ``repro`` only through PYTHONPATH.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
-from repro.distrib.session import driver_memory  # noqa: E402
+from repro.distrib.session import configure_launch, get_session  # noqa: E402
 
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {driver_memory()} "
-    "--conf spark.driver.host=127.0.0.1 "
-    "--conf spark.ui.enabled=false pyspark-shell",
-)
-
-from pyspark.sql import SparkSession  # noqa: E402
+configure_launch(SRC)
 
 
-def get_spark(app: str) -> SparkSession:
-    s = (SparkSession.builder.appName(app)
-         .config("spark.sql.shuffle.partitions", "64")
-         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-         .getOrCreate())
+def get_spark(app: str):
+    s = get_session(app)
     s.sparkContext.setLogLevel("ERROR")
     return s
 

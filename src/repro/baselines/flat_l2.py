@@ -11,7 +11,7 @@ differences, so that float duplicates tie exactly and fall to the id.
 """
 import numpy as np
 
-from repro.core.distance import check_k, check_series, ed2_batch, select_topk
+from repro.core.distance import TopK, check_k, check_series, ed2_batch
 
 
 def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
@@ -40,7 +40,7 @@ def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
         qq = float(np.dot(q, q.astype(np.float64)))
         kth = np.partition(row, kk - 1)[kk - 1]
         cand = np.flatnonzero(row <= kth + err * (qq + (np.sqrt(qq) + np.sqrt(kth)) ** 2))
-        exact = ed2_batch(q, X, rows=cand)
-        top = select_topk(exact, ids[cand], kk)
-        out.append([(float(np.sqrt(exact[i])), int(ids[cand[i]])) for i in top])
+        top = TopK(kk)
+        top.push(ed2_batch(q, X, rows=cand), ids[cand])
+        out.append(top.pairs())
     return out

@@ -9,12 +9,11 @@ plays the thread and this function is the per-slice scan.
 Early abandoning is block-granular, matching a vectorized SIMD kernel:
 the slice is scanned in blocks of ``_BLOCK_ROWS`` rows by the tree's
 kernel ``ed2_batch(q, X, rows=, bound2=)``, which drops a row at the first
-column cut where its partial distance passes the BSF of the blocks before.
+column cut where its partial distance passes ``TopK.bound2()`` so far.
 """
 import numpy as np
 
-from repro.core.distance import check_k, check_series, ed2_batch, select_topk
-from repro.summaries.simd import PRUNE_SLACK
+from repro.core.distance import TopK, check_k, check_series, ed2_batch
 
 # Rows per block; any value yields the same exact result.
 _BLOCK_ROWS = 2048
@@ -36,17 +35,11 @@ def ucr_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
     check_series(X, "series")
     check_series(queries, "query", X.shape[1])
     ids = np.arange(len(X), dtype=np.int64) if ids is None else np.asarray(ids)
-    kk = min(k, len(X))
     out = []
     for q in queries:
-        best_d2, best_rows = np.empty(0), np.empty(0, dtype=np.intp)
+        top = TopK(k)
         for lo in range(0, len(X), _BLOCK_ROWS):
             rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(X)))
-            bsf2 = best_d2[-1] if len(best_d2) == kk else np.inf
-            d2 = ed2_batch(q, X, rows=rows, bound2=bsf2 * PRUNE_SLACK)
-            keep = d2 <= bsf2
-            d2, rows = np.append(best_d2, d2[keep]), np.append(best_rows, rows[keep])
-            top = select_topk(d2, ids[rows], kk)
-            best_d2, best_rows = d2[top], rows[top]
-        out.append([(float(d), int(i)) for d, i in zip(np.sqrt(best_d2), ids[best_rows])])
+            top.push(ed2_batch(q, X, rows=rows, bound2=top.bound2()), ids[rows])
+        out.append(top.pairs())
     return out

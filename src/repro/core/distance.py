@@ -6,7 +6,8 @@
   collection and ``rows=``, it verifies the tree's survivors and the UCR
   scan's blocks by early abandoning: direct float64 differences summed over
   fixed column cuts, dropping a row once its running sum passes ``bound2``.
-- ``select_topk``: the one top-k of every engine, ordered by ``(d2, id)``.
+- ``TopK``: the one top-k of every exact search path, ordered by
+  ``(d2, id)``, with GEMINI's keep test ``bound2()``.
 - ``check_series`` / ``check_k``: reject non-finite or wrong-length input,
   which would otherwise turn into NaN distances and invented neighbours,
   and ``k < 1``.
@@ -75,12 +76,42 @@ def _ed2_abandon(query: np.ndarray, data: np.ndarray, rows: np.ndarray,
     return out
 
 
-def select_topk(d2: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest ``(d2, id)`` pairs, in that order.
+#: Relative slack of every GEMINI keep test: a bound or distance is kept
+#: while ``d2 <= bsf2 * PRUNE_SLACK``. A bound summed in another order than
+#: the true distance may exceed it by round-off, and a candidate whose
+#: bound ties the BSF may still win the tie on id.
+PRUNE_SLACK = 1.0 + 1e-12
 
-    Callers pass only rows that can still enter the top-k, so a full sort
-    stays short."""
-    return np.lexsort((ids, d2))[:k]
+
+class TopK:
+    """The ``k`` smallest ``(d2, id)`` pairs pushed so far, ascending.
+
+    ``bound2()`` is the keep test of every exact path (the tree's leaf
+    queue, series filter and ED bound, the UCR scan's blocks, the SQL
+    plan's filter): a squared LBD or distance above it cannot enter the
+    top-k. It is ``inf`` until ``k`` pairs are held.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.d2 = np.empty(0)
+        self.ids = np.empty(0, dtype=np.int64)
+
+    def bound2(self) -> float:
+        """Largest squared LBD or distance that can still hold a top-k answer."""
+        return self.d2[-1] * PRUNE_SLACK if len(self.d2) == self.k else np.inf
+
+    def push(self, d2: np.ndarray, ids: np.ndarray) -> None:
+        """Merge the pairs whose ``d2`` passes ``bound2()``, then keep the
+        ``k`` smallest by ``(d2, id)``."""
+        keep = d2 <= self.bound2()
+        d2, ids = np.append(self.d2, d2[keep]), np.append(self.ids, ids[keep])
+        top = np.lexsort((ids, d2))[:self.k]
+        self.d2, self.ids = d2[top], ids[top]
+
+    def pairs(self) -> list[tuple[float, int]]:
+        """``[(distance, id), ...]`` ascending, ties by id."""
+        return [(float(d), int(i)) for d, i in zip(np.sqrt(self.d2), self.ids)]
 
 
 def check_k(k: int) -> None:

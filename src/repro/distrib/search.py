@@ -38,7 +38,7 @@ from pyspark.sql.types import (DoubleType, IntegerType, LongType, StructField,
 
 from repro.baselines.flat_l2 import flat_knn
 from repro.baselines.ucr_scan import ucr_knn
-from repro.core.distance import check_k, check_series, select_topk, stored_rows
+from repro.core.distance import check_k, check_series, stored_rows
 from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
@@ -114,13 +114,13 @@ def _merge(local: pd.DataFrame, k: int) -> pd.DataFrame:
     qid = local["query_id"].to_numpy(np.int64)
     sid = local["series_id"].to_numpy(np.int64)
     dist = local["dist"].to_numpy(np.float64)
-    by_query = np.argsort(qid, kind="stable")
-    groups = np.split(by_query, np.flatnonzero(np.diff(qid[by_query])) + 1)
-    top = [g[select_topk(dist[g], sid[g], k)] for g in groups]
-    keep = np.concatenate(top)
-    rank = np.concatenate([np.arange(1, len(t) + 1, dtype=np.int32) for t in top])
+    order = np.lexsort((sid, dist, qid))
+    # a row's rank is one more than its offset from its query's first row
+    rank = np.arange(1, len(order) + 1) - np.searchsorted(qid[order], qid[order])
+    top = rank <= k
+    keep = order[top]
     return pd.DataFrame({"query_id": qid[keep], "series_id": sid[keep],
-                         "dist": dist[keep], "rank": rank})
+                         "dist": dist[keep], "rank": rank[top].astype(np.int32)})
 
 
 def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,

@@ -10,11 +10,11 @@ per-query table literal, so no stage of a query starts a Python worker:
 1. squared LBD column: the driver builds the weighted table
    ``T[j, a] = w_j * mindist(q_j, bin a)^2`` as one flat literal, and
    every row sums ``T[j * alphabet + word[j]]`` over its ``l`` symbols;
-2. seed BSF = largest squared distance among the k rows with the
-   smallest ``(lbd2, id)`` (a top-k, collected);
-3. candidate filter ``lbd2 <= bsf2 * PRUNE_SLACK`` -- GEMINI's guarantee:
-   every true k-NN satisfies ``lbd2 <= ed2 <= bsf2``, so no false
-   dismissals;
+2. seed BSF: the squared distances of the k rows with the smallest
+   ``(lbd2, id)`` (collected) pushed into a ``TopK``;
+3. candidate filter ``lbd2 <= TopK.bound2()``, the keep test of every
+   exact path -- GEMINI's guarantee: every true k-NN satisfies
+   ``lbd2 <= ed2 <= bsf2``, so no false dismissals;
 4. exact squared distance on survivors against the query literal, top-k
    by ``(ed2, id)``.
 
@@ -28,10 +28,10 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.distance import check_k, check_series
+from repro.core.distance import TopK, check_k, check_series
 from repro.distrib.dataset import list_array, read_rows
 from repro.summaries.common import SymbolicSummary
-from repro.summaries.simd import PRUNE_SLACK, mindist2_table
+from repro.summaries.simd import mindist2_table
 
 WORDS_SCHEMA = "id long, series array<double>, word array<int>"
 
@@ -100,11 +100,12 @@ def gemini_knn_sql(df_words: DataFrame, summary: SymbolicSummary,
 
     # seed BSF: true distances of the k most promising candidates
     seeds = (scored.orderBy("lbd2", "id").limit(k)
-             .select(ed2.alias("ed2")).collect())
-    bsf2 = max((r.ed2 for r in seeds), default=-np.inf)
+             .select("id", ed2.alias("ed2")).collect())
+    bsf = TopK(k)
+    bsf.push(np.array([r.ed2 for r in seeds]), np.array([r.id for r in seeds], dtype=np.int64))
 
     # GEMINI filter + exact verification + global top-k
-    top = (scored.filter(F.col("lbd2") <= F.lit(bsf2 * PRUNE_SLACK))
+    top = (scored.filter(F.col("lbd2") <= F.lit(float(bsf.bound2())))
            .select("id", ed2.alias("ed2"))
            .orderBy("ed2", "id").limit(k))
     rank = F.row_number().over(Window.orderBy("ed2", "id"))

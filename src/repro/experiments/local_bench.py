@@ -41,10 +41,12 @@ def local_engine_times(datasets, ks=(1,), *, n_queries: int = 20,
     """Long frame (dataset, method, k, ms, pruning), timed in-process.
 
     ``ms`` is per query, the median of ``REPEATS`` warm calls over the
-    whole query batch. Each dataset's trees are built once and reused
-    for every k (the paper's protocol); the UCR scan runs only at k=1,
-    as in the paper. ``pruning`` is the trees' mean pruning ratio over
-    the batch, from an untimed pass, and null for the two scans.
+    whole query batch. The timed calls of a (dataset, k) run round-robin
+    over its methods, so a slow phase of the host is shared by every
+    method rather than landing on one. Each dataset's trees are built
+    once and reused for every k (the paper's protocol); the UCR scan runs
+    only at k=1, as in the paper. ``pruning`` is the trees' mean pruning
+    ratio over the batch, from an untimed pass, and null for the two scans.
     """
     rows = []
     for name in datasets:
@@ -58,14 +60,16 @@ def local_engine_times(datasets, ks=(1,), *, n_queries: int = 20,
                     "SOFA": lambda: [trees["SOFA"].knn(q, k=k) for q in Q]}
             if k != 1:
                 del runs["UCR suite"]
-            for method, fn in runs.items():
+            for fn in runs.values():
                 fn()  # warm
-                times = []
-                for _ in range(REPEATS):
+            times = {method: [] for method in runs}
+            for _ in range(REPEATS):
+                for method, fn in runs.items():
                     t0 = time.perf_counter()
                     fn()
-                    times.append(time.perf_counter() - t0)
-                ms = float(np.median(times)) / n_queries * 1000
+                    times[method].append(time.perf_counter() - t0)
+            for method in runs:
+                ms = float(np.median(times[method])) / n_queries * 1000
                 pruning = None
                 if method in trees:
                     pruning = round(float(np.mean(

@@ -34,13 +34,14 @@ def table1() -> pd.DataFrame:
 
 
 def _per_dataset_times(spark, datasets, methods, cores_list, *, ks=(1,),
-                       n_queries=20, scale=1.0, sampling=0.01,
+                       rates=(0.01,), n_queries=20, scale=1.0,
                        seed=7) -> pd.DataFrame:
-    """Long frame (dataset, method, cores, k, ms) for tables II/III/IV.
+    """Long frame (dataset, method, cores, sampling, k, ms), tables II-IV.
 
     Each (dataset, cores) series frame is uploaded and cached once for
-    every method and k, and unpersisted before this returns or raises.
-    As in the paper, the UCR suite runs only at k=1.
+    every MCB sampling rate (an SFA summary is fitted per rate), method
+    and k, and unpersisted before this returns or raises. As in the paper,
+    the UCR suite runs only at k=1.
     """
     rows = []
     for name in datasets:
@@ -51,20 +52,21 @@ def _per_dataset_times(spark, datasets, methods, cores_list, *, ks=(1,),
             df = series_df(spark, X, num_partitions=parts).cache()
             try:
                 df.count()
-                summary = (fit_sfa_spark(df, fraction=sampling, seed=seed)
-                           if "SOFA" in methods else None)
-                for k in ks:
-                    for method in methods:
-                        if method == "UCR suite" and k != 1:
-                            continue
-                        out = timed_search(
-                            df, queries, method, k=k,
-                            summary=summary if method == "SOFA" else None,
-                            cache_token=f"{name}:{scale}:{parts}:{seed}:"
-                                        f"{method}:{sampling}")
-                        rows.append({"dataset": name, "method": method,
-                                     "cores": cores, "k": k,
-                                     "ms": out["ms_per_query"]})
+                for rate in rates:
+                    summary = (fit_sfa_spark(df, fraction=rate, seed=seed)
+                               if "SOFA" in methods else None)
+                    for k in ks:
+                        for method in methods:
+                            if method == "UCR suite" and k != 1:
+                                continue
+                            out = timed_search(
+                                df, queries, method, k=k,
+                                summary=summary if method == "SOFA" else None,
+                                cache_token=f"{name}:{scale}:{parts}:{seed}:"
+                                            f"{method}:{rate}")
+                            rows.append({"dataset": name, "method": method,
+                                         "cores": cores, "sampling": rate,
+                                         "k": k, "ms": out["ms_per_query"]})
             finally:
                 df.unpersist()
     return pd.DataFrame(rows)
@@ -81,7 +83,7 @@ def table2(spark: SparkSession, datasets=ALL_DATASETS, methods=ALL_METHODS,
     """
     detail = _per_dataset_times(spark, datasets, methods, cores_list,
                                 n_queries=n_queries, scale=scale,
-                                seed=seed).drop(columns="k")
+                                seed=seed).drop(columns=["sampling", "k"])
     summary = (detail.groupby(["method", "cores"])["ms"]
                .agg(median="median", mean="mean").round(2).reset_index())
     return summary, detail
@@ -104,14 +106,10 @@ def table4(spark: SparkSession, datasets=ALL_DATASETS,
            rates=(0.001, 0.005, 0.01, 0.05, 0.10, 0.15, 0.20), cores=36, *,
            n_queries=20, scale=1.0, seed=7) -> pd.DataFrame:
     """Table IV: SOFA query times vs MCB sampling rate."""
-    rows = []
-    for rate in rates:
-        d = _per_dataset_times(spark, datasets, ["SOFA"], [cores],
-                               n_queries=n_queries, scale=scale,
-                               sampling=rate, seed=seed)
-        rows.append({"sampling": rate, "mean_ms": round(d["ms"].mean(), 2),
-                     "median_ms": round(d["ms"].median(), 2)})
-    return pd.DataFrame(rows)
+    detail = _per_dataset_times(spark, datasets, ["SOFA"], [cores], rates=rates,
+                                n_queries=n_queries, scale=scale, seed=seed)
+    return (detail.groupby("sampling", sort=False)["ms"]
+            .agg(mean_ms="mean", median_ms="median").round(2).reset_index())
 
 
 def _tlb_table(spark, named_sets, alphabets, l, partitions,

@@ -27,8 +27,9 @@ until the head's LBD exceeds the BSF. Each drained batch is LBD-filtered
 per series with the table-gather kernel (the query's table is built once
 per search), and survivors are verified with real Euclidean distances by
 the early-abandoning ``ed2_batch(q, X, rows=, bound2=)``: a row is dropped
-at the first column cut where its partial distance passes the BSF. Rows
-the BSF can still admit are merged into the current top-k by ``select_topk``.
+at the first column cut where its partial distance passes the BSF. The
+BSF and the top-k are one ``TopK``: the queue, filter and ED bound read
+its ``bound2()``, and survivors are merged by ``push``.
 
 The queue is drained in *batches* (batch ``DeleteMin``): the seed batch
 is the fewest leading leaves whose rows reach ``k``, so the BSF is finite
@@ -69,10 +70,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.distance import check_k, check_series, ed2_batch, select_topk, stored_rows
+from repro.core.distance import TopK, check_k, check_series, ed2_batch, stored_rows
 from repro.summaries.common import BLOCK_ROWS, SymbolicSummary
-from repro.summaries.simd import (PRUNE_SLACK, batch_interval_mindist2, batch_mindist2,
-                                  mindist2_table)
+from repro.summaries.simd import batch_interval_mindist2, batch_mindist2, mindist2_table
 
 # Series in the first batch DeleteMin after the seed, doubled for every
 # later batch; any value yields the same exact result.
@@ -196,13 +196,7 @@ class TreeIndex:
         edges, weights = self.summary.edges, self.summary.weights
         table = mindist2_table(qvals, edges)
 
-        # the current top-k, ascending by (d2, id)
-        best_d2, best_ids = np.empty(0), np.empty(0, dtype=np.int64)
-
-        def keep2() -> float:
-            """Largest squared LBD or distance that can still hold a top-k answer."""
-            return best_d2[-1] * PRUNE_SLACK if len(best_d2) == k else np.inf
-
+        top = TopK(k)
         lane = np.arange(min(size, n_rows))  # one leaf when leaf_size > N
 
         def rows(lids: np.ndarray) -> np.ndarray:
@@ -226,10 +220,10 @@ class TreeIndex:
         def process(lids: np.ndarray, n_sel: int) -> None:
             """Verify the ``n_sel`` rows of the leaves ``lids`` against the
             current BSF and merge them into the top-k."""
-            nonlocal best_d2, best_ids, pool
+            nonlocal pool
             st.leaves_visited += len(lids)
             st.series_lbd_checked += n_sel
-            bound2 = keep2()
+            bound2 = top.bound2()
             if n_sel <= BLOCK_ROWS:
                 surv, d2s = verify(lids, bound2)
             else:
@@ -246,11 +240,7 @@ class TreeIndex:
                 return
             st.series_ed_computed += len(surv)
             st.series_ed_abandoned += int(np.count_nonzero(d2s == np.inf))
-            cand = d2s <= bound2
-            d2s = np.append(best_d2, d2s[cand])
-            ids = np.append(best_ids, self.ids_perm[surv[cand]])
-            top = select_topk(d2s, ids, k)
-            best_d2, best_ids = d2s[top], ids[top]
+            top.push(d2s, self.ids_perm[surv])
 
         # leaf-box LBD of every leaf in one vectorized pass: the priority
         # queue of MESSI, materialized at once
@@ -273,8 +263,8 @@ class TreeIndex:
             # _LAST_CHUNK_ROWS takes every leaf the BSF still admits, after
             # which the head can't reach the BSF and the loop ends
             chunk = _FIRST_CHUNK_ROWS
-            while i < n_leaves and queue_d2[i] <= keep2():
-                j = int(np.searchsorted(queue_d2, keep2(), side="right"))
+            while i < n_leaves and queue_d2[i] <= top.bound2():
+                j = int(np.searchsorted(queue_d2, top.bound2(), side="right"))
                 if chunk < _LAST_CHUNK_ROWS:
                     j = min(j, int(np.searchsorted(queue_end, queue_end[i - 1] + chunk)) + 1)
                 process(order[i:j], int(queue_end[j - 1] - queue_end[i - 1]))
@@ -283,4 +273,4 @@ class TreeIndex:
             if pool is not None:
                 pool.shutdown()
 
-        return [(float(d), int(i)) for d, i in zip(np.sqrt(best_d2), best_ids)]
+        return top.pairs()

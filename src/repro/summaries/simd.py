@@ -19,17 +19,10 @@ by the entry at the query's symbol clipped into the box.
 All functions take the *query side* as numeric approx values (PAA means
 for iSAX / scaled DFT components for SFA) and the *candidate side* as
 symbols or symbol boxes, plus the summary's ``edges``/``weights``. They return
-squared lower bounds; callers compare against squared BSF.
+squared lower bounds; callers compare them with ``TopK.bound2()`` of
+``repro.core.distance``, the keep test of every exact path.
 """
 import numpy as np
-
-
-#: Relative slack of every GEMINI prune test (the index and the Spark SQL
-#: plan): a bound is kept while ``lbd2 <= bsf2 * PRUNE_SLACK``. A bound
-#: summed in another order than the true distance may exceed it by
-#: round-off, and a candidate whose bound ties the BSF may still win the
-#: tie on id.
-PRUNE_SLACK = 1.0 + 1e-12
 
 
 def mindist2_table(qvals, edges) -> np.ndarray:

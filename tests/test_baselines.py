@@ -54,6 +54,22 @@ def test_ucr_blocking_does_not_change_result(n_series):
         assert [i for _, i in a] == [i for _, i in b]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_ucr_duplicates_across_a_block_seam_fall_to_the_smaller_id(k):
+    """Copies of one row on both sides of the 2,048-row seam, the smaller
+    ids in the later block: a tie with the BSF of the first block is kept
+    and wins on id."""
+    X = znormed(2100, 32, seed=16)
+    X[[2040, 2047, 2048, 2060]] = X[2000]
+    ids = np.arange(len(X))[::-1] * 3
+    q = X[2000] + np.float32(0.01)
+    res = ucr_knn(X, q[None, :], k=k, ids=ids)[0]
+    exp = brute_knn(X, q, k, ids=ids)
+    assert [i for _, i in res] == [i for _, i in exp]
+    np.testing.assert_allclose([d for d, _ in res], [d for d, _ in exp], atol=1e-6)
+    assert res[0][1] == ids[2060]
+
+
 def test_single_query_single_series():
     X = znormed(1, 16, seed=15)
     for engine in (ucr_knn, flat_knn):

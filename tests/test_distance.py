@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import ed2_batch, select_topk
+from repro.core.distance import PRUNE_SLACK, TopK, ed2_batch
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -117,10 +117,39 @@ def test_abandon_empty_and_repeated_rows():
     np.testing.assert_allclose(got, _direct_d2(q, X[[3, 1, 3, 3, 1]]), rtol=1e-12)
 
 
-def test_select_topk_orders_by_distance_then_id():
+def _topk(d2, ids, k):
+    top = TopK(k)
+    top.push(np.asarray(d2, dtype=np.float64), np.asarray(ids))
+    return top
+
+
+def test_topk_orders_by_distance_then_id():
     d2 = np.array([2.0, 1.0, np.inf, 1.0, 0.5, 1.0])
     ids = np.array([9, 8, 0, 3, 7, 5])
-    assert d2[select_topk(d2, ids, 3)].tolist() == [0.5, 1.0, 1.0]
-    assert ids[select_topk(d2, ids, 3)].tolist() == [7, 3, 5]
-    assert ids[select_topk(d2, ids, 99)].tolist() == [7, 3, 5, 8, 9, 0]
-    assert select_topk(d2[:0], ids[:0], 2).shape == (0,)
+    top = _topk(d2, ids, 3)
+    assert top.d2.tolist() == [0.5, 1.0, 1.0]
+    assert top.ids.tolist() == [7, 3, 5]
+    assert top.pairs() == [(np.sqrt(0.5), 7), (1.0, 3), (1.0, 5)]
+    # k >= N keeps every pair, an ``inf`` last
+    assert _topk(d2, ids, 99).ids.tolist() == [7, 3, 5, 8, 9, 0]
+    assert _topk(d2[:0], ids[:0], 2).pairs() == []
+    # pushed in pieces: the same top-k, an empty push changes nothing
+    top = TopK(3)
+    for lo, hi in ((0, 2), (2, 2), (2, 4), (4, 6), (6, 6)):
+        top.push(d2[lo:hi], ids[lo:hi])
+    assert top.ids.tolist() == [7, 3, 5]
+
+
+def test_topk_bound2_is_inf_until_k_rows_are_held():
+    top = TopK(3)
+    assert top.bound2() == np.inf
+    top.push(np.array([4.0, 1.0]), np.array([1, 2]))
+    assert top.bound2() == np.inf
+    top.push(np.array([9.0]), np.array([3]))
+    assert top.bound2() == 9.0 * PRUNE_SLACK
+    # an abandoned (inf) or worse row is not kept; a tie is, and wins on id
+    top.push(np.array([np.inf, 10.0, 9.0]), np.array([0, 0, 0]))
+    assert top.pairs() == [(1.0, 2), (2.0, 1), (3.0, 0)]
+    # held ``inf`` pairs count toward k; the bound is the k-th d2 with the slack
+    assert _topk([np.inf, np.inf], [5, 4], 2).bound2() == np.inf
+    assert _topk([np.inf, 1.0], [5, 4], 1).bound2() == PRUNE_SLACK

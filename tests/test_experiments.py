@@ -14,13 +14,13 @@ import pytest
 
 from repro.datasets import make_dataset, make_queries
 from repro.distrib import fit_sfa_spark, series_df
-from repro.experiments import tables
+from repro.experiments import local_bench, tables
 from repro.experiments.local_bench import local_engine_times, local_scale_curve
 from repro.experiments.runner import METHOD_KEYS, timed_search
 from repro.experiments.tables import (table1, table2, table3, table4, table5,
                                       table6)
 from repro.experiments.tlb import TLB_METHODS, fit_variants, tlb_spark
-from repro.index import SearchStats, build_sofa
+from repro.index import SearchStats, TreeIndex, build_sofa
 from tests.helpers import znormed
 
 SMALL = dict(scale=0.05, n_queries=4)
@@ -89,19 +89,39 @@ def test_table_drivers_unpersist_when_they_raise(spark, monkeypatch, driver,
     assert _persisted(spark) == before
 
 
+def _record_calls(monkeypatch, name, arg):
+    """Wrap ``tables.<name>`` so that each call appends its keyword ``arg``
+    to the returned list."""
+    calls, fn = [], getattr(tables, name)
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get(arg))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(tables, name, recording)
+    return calls
+
+
 def test_table3_uploads_each_frame_once_for_all_k(spark, monkeypatch):
-    calls = []
-
-    def counting_series_df(*args, **kwargs):
-        calls.append(kwargs.get("num_partitions"))
-        return series_df(*args, **kwargs)
-
-    monkeypatch.setattr(tables, "series_df", counting_series_df)
+    calls = _record_calls(monkeypatch, "series_df", "num_partitions")
     monkeypatch.setattr(tables, "ALL_METHODS", ("SOFA",))
     t = table3(spark, datasets=("Iquique", "ETHZ"), ks=(1, 3), scale=0.05,
                n_queries=3, seed=25)
     assert calls == [16, 16]  # one per (dataset, cores), not per k
     assert list(t.columns) == ["method", 1, 3]
+
+
+def test_table4_uploads_each_frame_once_for_all_rates(spark, monkeypatch):
+    uploads = _record_calls(monkeypatch, "series_df", "num_partitions")
+    fits = _record_calls(monkeypatch, "fit_sfa_spark", "fraction")
+    tokens = _record_calls(monkeypatch, "timed_search", "cache_token")
+    rates = (0.01, 0.05, 0.2)
+    t = table4(spark, datasets=("Iquique",), rates=rates, scale=0.05,
+               n_queries=3, seed=26)
+    assert uploads == [16]  # one per (dataset, cores), not per rate
+    assert fits == list(rates)  # a summary per rate
+    assert len(set(tokens)) == len(tokens) == 3
+    assert t.sampling.tolist() == list(rates)
 
 
 def test_local_engine_times_rows_and_pruning():
@@ -125,6 +145,36 @@ def test_local_engine_times_rows_and_pruning():
         ratios.append(st.pruning_ratio)
     got = t[(t.dataset == "LenDB") & (t.method == "SOFA") & (t.k == 3)]
     assert got.pruning.item() == round(float(np.mean(ratios)), 3)
+
+
+def test_local_engine_times_interleaves_the_methods(monkeypatch):
+    """Between two calls of one method (warm or timed), every other method
+    of the (dataset, k) is called once."""
+    calls = []
+
+    def logged(label, fn):
+        def call(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+        return call
+
+    knn = TreeIndex.knn
+
+    def logged_knn(self, q, k=1, stats=None):
+        if stats is None:  # a timed batch, not the pruning pass
+            calls.append(type(self.summary).__name__)  # MESSI: SAX, SOFA: SFA
+        return knn(self, q, k=k, stats=stats)
+
+    monkeypatch.setattr(local_bench, "ucr_knn", logged("ucr", local_bench.ucr_knn))
+    monkeypatch.setattr(local_bench, "flat_knn", logged("flat", local_bench.flat_knn))
+    monkeypatch.setattr(TreeIndex, "knn", logged_knn)
+    local_engine_times(("Iquique",), n_queries=1, scale=0.05)  # one knn per batch
+    labels = {"ucr", "flat", "SAXSummary", "SFASummary"}
+    assert len(calls) == 4 * (1 + local_bench.REPEATS)
+    for m in labels:
+        at = [i for i, c in enumerate(calls) if c == m]
+        for a, b in zip(at, at[1:]):
+            assert sorted(calls[a + 1:b]) == sorted(labels - {m})
 
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"

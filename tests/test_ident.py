@@ -13,6 +13,7 @@ def test_save_then_compare_names_only_the_perturbed_array(tmp_path, capsys):
 
     arrays = dict(np.load(a))
     assert arrays["messi/64/10/i"].shape == (3, 10)
+    assert arrays["ucr/10/i"].shape == arrays["flat/10/d"].shape == (3, 10)
     assert len(arrays["sofa/32/50/series_ed_computed"]) == 3
     arrays["messi/64/10/series_ed_computed"][1] += 4
     np.savez(b, **arrays)

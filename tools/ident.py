@@ -1,5 +1,6 @@
-"""Answers, work counters and index layout of SOFA and MESSI, saved from one
-tree and compared bit for bit with another's.
+"""Answers, work counters and index layout of SOFA and MESSI, and the answers
+of the UCR and flat scans, saved from one tree and compared bit for bit with
+another's.
 
     PYTHONPATH=<tree>/src python3 tools/ident.py save <tree>.npz
     python3 tools/ident.py compare parent.npz change.npz
@@ -12,7 +13,9 @@ queries drawn by ``perfbench.common.workload_inputs`` with seed 1401;
 index at leaf sizes 64 and 32 and stores the layout (``perm`` as int64,
 ``words_perm``, ``leaf_lo``, ``leaf_hi``, ``leaf_start``), then, at leaf
 64 with k 1 and 10 and at leaf 32 with k 50, every query's distances and
-ids and the six ``SearchStats`` fields. ``compare`` names every array
+ids and the six ``SearchStats`` fields. For ``ucr_knn`` and ``flat_knn`` it
+stores every query's distances and ids at k 1 and 10 (``ucr/1/d``,
+``flat/10/i``, ...). ``compare`` names every array
 that is missing from one file or differs in dtype, shape or any bit: how
 many entries differ, the largest absolute difference, and the two means,
 so a moved counter reads as its change per query. It exits 1 when an
@@ -29,12 +32,21 @@ sys.path.append(str(Path(__file__).resolve().parent.parent))  # for perfbench
 
 # (leaf size, k) of every search that is saved
 RUNS = ((64, 1), (64, 10), (32, 50))
+# k of every saved scan
+SCAN_KS = (1, 10)
+
+
+def _store_answers(out: dict, key: str, res: list) -> None:
+    """Every query's distances and ids as ``key/d`` and ``key/i``."""
+    out[key + "/d"] = np.array([[d for d, _ in r] for r in res])
+    out[key + "/i"] = np.array([[i for _, i in r] for r in res])
 
 
 def save(path: str, scale: float = 4.0, n_queries: int = 512) -> int:
     """Write the arrays of the module docstring to ``path``; return their count."""
     import repro
     from perfbench.common import workload_inputs
+    from repro.baselines import flat_knn, ucr_knn
     from repro.index import SearchStats, build_messi, build_sofa
 
     X, Q = workload_inputs("LenDB", scale, n_queries, seed=1401)
@@ -54,10 +66,12 @@ def save(path: str, scale: float = 4.0, n_queries: int = 512) -> int:
                     res.append(idx.knn(q, k=k, stats=st))
                     stats.append(st)
                 key = f"{name}/{leaf}/{k}"
-                out[key + "/d"] = np.array([[d for d, _ in r] for r in res])
-                out[key + "/i"] = np.array([[i for _, i in r] for r in res])
+                _store_answers(out, key, res)
                 for f in dataclasses.fields(SearchStats):
                     out[f"{key}/{f.name}"] = np.array([getattr(st, f.name) for st in stats])
+    for name, scan in (("ucr", ucr_knn), ("flat", flat_knn)):
+        for k in SCAN_KS:
+            _store_answers(out, f"{name}/{k}", scan(X, Q, k=k))
     np.savez_compressed(path, **out)
     return len(out)
 
