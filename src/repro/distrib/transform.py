@@ -13,8 +13,8 @@ per-query table literal, so no stage of a query starts a Python worker:
 2. seed BSF: the squared distances of the k rows with the smallest
    ``(lbd2, id)`` (collected) pushed into a ``TopK``;
 3. candidate filter ``lbd2 <= TopK.bound2()``, the keep test of every
-   exact path -- GEMINI's guarantee: every true k-NN satisfies
-   ``lbd2 <= ed2 <= bsf2``, so no false dismissals;
+   exact path -- GEMINI's guarantee: every true k-NN has ``lbd2 <= ed2``
+   and an ``ed2`` no larger than the seeds' k-th, so no false dismissals;
 4. exact squared distance on survivors against the query literal, top-k
    by ``(ed2, id)``.
 
