@@ -3,8 +3,10 @@
 FAISS's flat index answers query batches with a BLAS GEMM over the
 ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` identity plus a top-k
 selection — no summarization, no pruning. The paper runs it with query
-mini-batches sized to the core count; here the whole query batch hits
-each partition at once and NumPy's BLAS plays MKL's role.
+mini-batches sized to the core count; here the query batch hits each
+partition in blocks of ``QUERY_BLOCK`` queries, one GEMM per block over a
+float64 copy of the rows made once per call, and NumPy's BLAS plays MKL's
+role.
 The GEMM values carry round-off, so they only shortlist: rows within the
 identity's error bound of the k-th are measured again by direct float64
 differences, so that float duplicates tie exactly and fall to the id.
@@ -13,10 +15,14 @@ import numpy as np
 
 from repro.core.distance import TopK, check_k, check_series, ed2_batch
 
+#: queries per GEMM: a call holds one (QUERY_BLOCK, N) float64 block of
+#: distances at a time, so its memory does not grow with the query batch
+QUERY_BLOCK = 64
+
 
 def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
              ids: np.ndarray | None = None) -> list[list[tuple[float, int]]]:
-    """Exact k-NN via one GEMM; same return shape as ``ucr_knn``.
+    """Exact k-NN via one GEMM per query block; same return shape as ``ucr_knn``.
 
     Raises ``ValueError`` for ``k < 1``, non-finite rows or queries, or
     queries whose length differs from the rows'.
@@ -35,12 +41,15 @@ def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
     # |x| <= |q| + sqrt(kth), so it lies within twice that bound of the k-th
     # GEMM value; 8 n eps leaves room for the re-measure's own round-off.
     err = 8.0 * X.shape[1] * np.finfo(np.float64).eps
+    X = np.asarray(X, dtype=np.float64)
     out = []
-    for q, row in zip(queries, ed2_batch(queries, X)):
-        qq = float(np.dot(q, q.astype(np.float64)))
-        kth = np.partition(row, kk - 1)[kk - 1]
-        cand = np.flatnonzero(row <= kth + err * (qq + (np.sqrt(qq) + np.sqrt(kth)) ** 2))
-        top = TopK(kk)
-        top.push(ed2_batch(q, X, rows=cand), ids[cand])
-        out.append(top.pairs())
+    for lo in range(0, len(queries), QUERY_BLOCK):
+        block = queries[lo:lo + QUERY_BLOCK]
+        for q, row in zip(block, ed2_batch(block, X)):
+            qq = float(np.dot(q, q.astype(np.float64)))
+            kth = np.partition(row, kk - 1)[kk - 1]
+            cand = np.flatnonzero(row <= kth + err * (qq + (np.sqrt(qq) + np.sqrt(kth)) ** 2))
+            top = TopK(kk)
+            top.push(ed2_batch(q, X, rows=cand), ids[cand])
+            out.append(top.pairs())
     return out

@@ -6,7 +6,10 @@ Layout (one build path for SOFA, MESSI and every Spark partition):
   interleaved MSB-first, bit-plane by bit-plane, so the first ``l`` bits
   are MESSI's 1-bit root key and each further plane refines every
   position by one bit, the order a split-by-cardinality tree would
-  reach;
+  reach. Ties fall to the row. The keys are native uint64 words; one
+  ``argsort`` of the first word orders the rows, and only the few rows
+  that tie a neighbour there are sorted again by the whole key
+  (``_zorder``);
 - the sorted order is cut into runs of ``leaf_size`` rows (``LEAF_ROWS``
   = 64 unless a caller asks for another size), so every leaf but the
   last is full (bottom-up full-leaf build, as in Coconut) and leaf ``i``
@@ -110,23 +113,64 @@ class SearchStats:
         return 1.0 - self.series_ed_computed / max(1, self.n_series)
 
 
+#: the low bit of every byte of a uint64
+_BYTE_LSB = np.uint64(0x0101010101010101)
+#: times a uint64 of 0/1 bytes, puts byte ``i``'s bit at bit ``63 - i``:
+#: the product's top byte packs the eight bits MSB-first, as ``packbits``
+_BYTE_GATHER = np.uint64(0x8040201008040201)
+
+
+def _zorder_keys(words: np.ndarray, word_bits: int) -> np.ndarray:
+    """Z-order keys of ``words`` (N, l) as native uint64 rows (K, N), most
+    significant word first.
+
+    Bit-plane ``p`` (bit ``word_bits - 1 - p`` of every symbol) is packed
+    MSB-first into ``ceil(l / 8)`` bytes, eight symbols at a time with one
+    multiply (``_BYTE_GATHER``), and the planes follow each other. Padding
+    a plane to whole bytes inserts the same zero bits into every key, so
+    the keys order the rows as the unpadded key of ``_zorder`` does.
+    """
+    n_rows, l = words.shape
+    groups = -(-l // 8)
+    padded = np.zeros((n_rows, 8 * groups), dtype=np.uint8)
+    padded[:, :l] = words
+    # symbol 8c + i is byte i (least significant first) of group c
+    cols = np.ascontiguousarray(padded.view("<u8").astype(np.uint64, copy=False).T)
+    keys = np.zeros((-(-word_bits * groups // 8), n_rows), dtype=np.uint64)
+    for p in range(word_bits):
+        for c in range(groups):
+            byte = (cols[c] >> np.uint64(word_bits - 1 - p)) & _BYTE_LSB
+            byte *= _BYTE_GATHER
+            byte >>= np.uint64(56)
+            i = p * groups + c  # byte i of the key, big-endian
+            byte <<= np.uint64(56 - 8 * (i % 8))
+            keys[i // 8] |= byte
+    return keys
+
+
 def _zorder(words: np.ndarray, word_bits: int) -> np.ndarray:
     """Row order of ``words`` (N, l) by their z-order key, ties by row.
 
     The key's bit ``p * l + j`` is bit ``word_bits - 1 - p`` of symbol
-    ``j``; keys are packed big-endian into uint64 columns for lexsort. The
-    summaries here return C-ordered words; the copy to C order serves a
-    ``words`` override that returns another memory order, which the uint64
-    view would reject.
+    ``j`` (``_zorder_keys``). The rows are sorted by the key's first 64-bit
+    word alone; only the rows whose first word ties a neighbour's are
+    sorted again, by the whole key and then the row, and written back into
+    their places. That is ``np.lexsort``'s permutation over the whole key
+    and the row, whatever order the first sort leaves ties in. On engine-hf
+    98–99 % of the rows have a unique first word, so the second sort is
+    small; if every row ties, it costs one ``argsort`` more than a plain
+    ``lexsort``.
     """
-    words = np.ascontiguousarray(words)
-    shifts = np.arange(word_bits - 1, -1, -1, dtype=np.uint8)
-    planes = (words[:, None, :] >> shifts[:, None]) & 1  # (N, bits, l)
-    packed = np.packbits(planes.reshape(len(words), word_bits * words.shape[1]), axis=1)
-    pad = -packed.shape[1] % 8
-    packed = np.pad(packed, ((0, 0), (0, pad)))
-    keys = packed.view(">u8")  # (N, ceil(bits*l/64))
-    return np.lexsort(keys.T[::-1])
+    keys = _zorder_keys(words, word_bits)
+    order = np.argsort(keys[0])
+    first = keys[0, order]
+    tie = first[1:] == first[:-1]
+    tied = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+    if len(tied):
+        rows = order[tied]
+        # the tied runs keep their places: the first word orders them
+        order[tied] = rows[np.lexsort((rows, *keys[::-1, rows]))]
+    return order
 
 
 class TreeIndex:

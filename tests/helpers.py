@@ -1,7 +1,8 @@
 """Shared test utilities: data factories, a brute-force oracle, the DuckDB
 k-NN query over exploded series, the scalar Eq. 2 reference the batched
-LBD kernels are checked against, and the per-position searchsorted
-reference of the word quantizer."""
+LBD kernels are checked against, the per-position searchsorted
+reference of the word quantizer and the Python-int reference of the
+z-order sort."""
 import numpy as np
 import pandas as pd
 
@@ -83,3 +84,18 @@ def words_ref(a, edges) -> np.ndarray:
         # interval [edges[s], edges[s+1]) -> side='right' on interior edges
         out[:, j] = np.searchsorted(edges[j, 1:-1], a[:, j], side="right")
     return out
+
+
+def zorder_ref(words, word_bits: int) -> np.ndarray:
+    """Rows of ``words`` (N, l) sorted by ``(key, row)``, where ``key`` is
+    the Python int whose bits, MSB-first, are bit ``word_bits - 1 - p`` of
+    symbol ``j`` at place ``p * l + j`` — the order ``_zorder`` must give."""
+    words = np.asarray(words, dtype=np.int64)
+
+    def key(word) -> int:
+        bits = [(int(word[j]) >> (word_bits - 1 - p)) & 1
+                for p in range(word_bits) for j in range(len(word))]
+        return int("".join(map(str, bits)) or "0", 2)
+
+    keys = [key(w) for w in words]
+    return np.array(sorted(range(len(words)), key=lambda r: (keys[r], r)), dtype=np.intp)

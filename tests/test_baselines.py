@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import flat_knn, ucr_knn
+from repro.baselines import flat_knn, flat_l2, ucr_knn
+from repro.core.distance import ed2_batch
 from tests.helpers import brute_knn, znormed
 
 
@@ -89,3 +90,25 @@ def test_exact_ties_follow_brute_force_order(engine, k):
         assert [i for _, i in res[qi]] == [i for _, i in exp]
         np.testing.assert_allclose([d for d, _ in res[qi]],
                                    [d for d, _ in exp], atol=1e-6)
+
+
+def test_flat_gemm_runs_over_query_blocks(monkeypatch):
+    """No GEMM call of ``flat_knn`` gets more than ``QUERY_BLOCK`` queries,
+    and answers over several blocks, the last one partial, equal brute force."""
+    gemm_rows = []
+
+    def logged(queries, data, **kwargs):
+        if "rows" not in kwargs:
+            gemm_rows.append(len(queries))
+        return ed2_batch(queries, data, **kwargs)
+
+    monkeypatch.setattr(flat_l2, "ed2_batch", logged)
+    X = znormed(200, 32, seed=17)
+    Q = znormed(2 * flat_l2.QUERY_BLOCK + 5, 32, seed=18)
+    res = flat_knn(X, Q, k=3)
+    assert gemm_rows == [flat_l2.QUERY_BLOCK, flat_l2.QUERY_BLOCK, 5]
+    assert len(res) == len(Q)
+    for qi, q in enumerate(Q):
+        exp = brute_knn(X, q, 3)
+        assert [i for _, i in res[qi]] == [i for _, i in exp]
+        np.testing.assert_allclose([d for d, _ in res[qi]], [d for d, _ in exp], atol=1e-6)

@@ -15,6 +15,11 @@ def test_save_then_compare_names_only_the_perturbed_array(tmp_path, capsys):
     assert arrays["messi/64/10/i"].shape == (3, 10)
     assert arrays["ucr/10/i"].shape == arrays["flat/10/d"].shape == (3, 10)
     assert len(arrays["sofa/32/50/series_ed_computed"]) == 3
+    n_series = len(arrays["sofa_equi_depth/perm"])
+    assert arrays["sofa_equi_depth/words"].shape == (n_series, 16)
+    assert arrays["sofa_equi_depth/words_perm"].shape == (n_series, 16)
+    assert sorted(arrays["sofa_equi_depth/perm"]) == list(range(n_series))
+    assert arrays["sofa_equi_depth/leaf_lo"].shape == arrays["sofa_equi_depth/leaf_hi"].shape
     arrays["messi/64/10/series_ed_computed"][1] += 4
     np.savez(b, **arrays)
     assert compare(str(a), str(b)) == [

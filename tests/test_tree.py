@@ -16,7 +16,7 @@ from repro.index.tree import SearchStats, TreeIndex
 from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
 from repro.summaries.simd import batch_interval_mindist2, mindist2_table
-from tests.helpers import brute_knn, mindist2_ref, znormed
+from tests.helpers import brute_knn, mindist2_ref, zorder_ref, znormed
 
 BUILDERS = [("sofa", build_sofa), ("messi", build_messi)]
 LEAF_SIZES = [1, 7, 16, 64, 1000]
@@ -100,6 +100,41 @@ def test_root_keys_are_first_bits():
         assert keys == sorted(keys)
         ties = [i for i in range(1, len(keys)) if keys[i] == keys[i - 1]]
         assert all(idx.perm[i - 1] < idx.perm[i] for i in ties)
+
+
+def _zorder_words(kind: str, n_rows: int, l: int, word_bits: int, seed: int) -> np.ndarray:
+    """(N, l) words of ``word_bits``-bit symbols: ``duplicates`` draws rows
+    from a small pool, so copies sit at shuffled rows; ``first_word_ties``
+    gives every row the same first 64 key bits and random later bit
+    planes; ``all_equal`` repeats one word."""
+    g = np.random.default_rng(seed)
+    rand = g.integers(0, 1 << word_bits, (n_rows, l)).astype(np.uint8)
+    if kind == "duplicates":
+        return rand[g.integers(0, max(n_rows // 5, 1), n_rows)]
+    if kind == "all_equal":
+        return np.repeat(rand[:1], n_rows, axis=0)
+    # symbol bits whose key bit p * l + j lies in the first 64-bit word
+    first = np.zeros(l, dtype=np.uint8)
+    for p in range(word_bits):
+        for j in range(l):
+            if p * l + j < 64:
+                first[j] |= 1 << (word_bits - 1 - p)
+    return (rand[:1] & first) | (rand & ~first)
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "first_word_ties", "all_equal"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 500])
+@pytest.mark.parametrize("l", [3, 8, 16, 17])
+@pytest.mark.parametrize("word_bits", [1, 2, 8])
+def test_zorder_matches_python_int_keys(word_bits, l, n_rows, kind):
+    """``_zorder`` sorts by the whole key and then the row, for keys under,
+    at and over 64 bits (up to three key words), ties in the first word
+    and whole-key ties included."""
+    words = _zorder_words(kind, n_rows, l, word_bits, seed=word_bits * 100 + l)
+    order = tree._zorder(words, word_bits)
+    np.testing.assert_array_equal(order, zorder_ref(words, word_bits))
+    if kind == "first_word_ties" and n_rows > 1 and word_bits * l > 64:
+        assert len(np.unique(words, axis=0)) > 1  # the later planes decide
 
 
 def test_fortran_ordered_words_build_the_same_index():

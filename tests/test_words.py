@@ -1,8 +1,10 @@
 """The word quantizer shared by iSAX and SFA (``SymbolicSummary``):
 ``words_from_approx`` and the threaded row-block pass of ``words``
 against the reference ``words_ref`` on and around every edge, the
-rejection of non-finite input and of unusable edges, and blocked words
-against one whole-batch pass."""
+rejection of non-finite input and of unusable edges, blocked words
+against one whole-batch pass, and a summary that the word pass leaves as
+it found it."""
+import copy
 import threading
 
 import numpy as np
@@ -227,3 +229,22 @@ def test_blocked_words_of_one_series_and_fortran_input(summary):
     words = s.words(np.asfortranarray(X))
     assert words.flags.c_contiguous
     np.testing.assert_array_equal(words, s.words(X))
+
+
+@pytest.mark.parametrize("summary", ["sfa", "sax"])
+def test_words_leave_the_summary_unchanged(summary):
+    """The quantizer's guess table lives for one ``words`` call: the
+    summary, which an index keeps and Spark ships, gains no attribute and
+    no array of it changes."""
+    s = _blocked_summaries()[summary]
+    before = copy.deepcopy(vars(s))
+    s.words(znormed(2 * BLOCK_ROWS + 1, 64, seed=12))
+    s.words_from_approx(np.zeros((3, s.l)))
+    after = vars(s)
+    assert sorted(after) == sorted(before)
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert after[name].dtype == value.dtype and after[name].shape == value.shape
+            assert after[name].tobytes() == value.tobytes(), name
+        else:
+            assert after[name] == value, name

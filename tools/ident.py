@@ -15,7 +15,13 @@ index at leaf sizes 64 and 32 and stores the layout (``perm`` as int64,
 64 with k 1 and 10 and at leaf 32 with k 50, every query's distances and
 ids and the six ``SearchStats`` fields. For ``ucr_knn`` and ``flat_knn`` it
 stores every query's distances and ids at k 1 and 10 (``ucr/1/d``,
-``flat/10/i``, ...). ``compare`` names every array
+``flat/10/i``, ...). It also stores the words of every series and the
+layout (``perm``, ``words_perm``, ``leaf_lo``, ``leaf_hi``) of a SOFA tree
+over an equi-depth ``SFASummary.fit`` of every 100th series
+(``sofa_equi_depth/words``, ...): equi-depth edges crowd where the sample
+is dense, so more values fall in a grid cell of the quantizer that holds
+several edges and take its ``searchsorted`` fallback than under the
+default equi-width SFA or the SAX edges. ``compare`` names every array
 that is missing from one file or differs in dtype, shape or any bit: how
 many entries differ, the largest absolute difference, and the two means,
 so a moved counter reads as its change per query. It exits 1 when an
@@ -48,6 +54,7 @@ def save(path: str, scale: float = 4.0, n_queries: int = 512) -> int:
     from perfbench.common import workload_inputs
     from repro.baselines import flat_knn, ucr_knn
     from repro.index import SearchStats, build_messi, build_sofa
+    from repro.summaries.sfa import SFASummary
 
     X, Q = workload_inputs("LenDB", scale, n_queries, seed=1401)
     print(f"repro from {Path(repro.__file__).parent}: {len(X)} series, {len(Q)} queries")
@@ -69,6 +76,11 @@ def save(path: str, scale: float = 4.0, n_queries: int = 512) -> int:
                 _store_answers(out, key, res)
                 for f in dataclasses.fields(SearchStats):
                     out[f"{key}/{f.name}"] = np.array([getattr(st, f.name) for st in stats])
+    depth = build_sofa(X, summary=SFASummary.fit(X[::100], binning="equi_depth"))
+    out["sofa_equi_depth/words"] = depth.summary.words(X)
+    out["sofa_equi_depth/perm"] = depth.perm.astype(np.int64)
+    for field in ("words_perm", "leaf_lo", "leaf_hi"):
+        out[f"sofa_equi_depth/{field}"] = getattr(depth, field)
     for name, scan in (("ucr", ucr_knn), ("flat", flat_knn)):
         for k in SCAN_KS:
             _store_answers(out, f"{name}/{k}", scan(X, Q, k=k))
