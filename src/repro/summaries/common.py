@@ -23,21 +23,21 @@ into the result. The quantizer (``_Grid``) lays a uniform grid of
 Its guess table holds, per position, the symbol of every grid point and
 one cell below the grid (``4 * alphabet + 2`` entries). It is built once
 per ``words`` call and read by every block, and not kept on the summary,
-which an index stores and every Spark closure carries. A block is binned in one pass
-over all its (rows, l) values: a value's cell ``(a - lo_j) * scale_j``
-indexes the flat table, and the guess is corrected by one step up
-against the real edges. Every value is then checked against both edges
-of its symbol; only values still off, where a cell holds several edges
-(as equi-depth edges can) or a value was rounded into a neighbour cell,
-are found by ``np.searchsorted``. The symbol is thus exactly the one whose interval
-``[edges[j, s], edges[j, s + 1])`` holds the value, as a per-value
-``searchsorted`` finds it. The pass is a fixed number of whole-block NumPy
-calls: a per-position loop of small calls inside the workers made a
-build slower, as they contend for the GIL. NumPy's FFT, ``reduceat``,
-``isfinite``, ``take`` and the arithmetic release the GIL, and each
-block's temporaries stay in cache. Every row's approx values are computed
-alone and every value is binned alone, so the words are bit-equal to one
-whole-batch pass.
+which an index stores and every Spark closure carries. A block is binned
+in one pass over all its (rows, l) values: a value's cell
+``(a - lo_j) * scale_j`` indexes the flat table, and the guess is
+corrected by one step up against the real edges. Every value is then
+checked against both edges of its symbol; only values still off, where
+a cell holds several edges (as equi-depth edges can) or a value was
+rounded into a neighbour cell, are found by ``np.searchsorted``. The symbol is thus exactly the
+one whose interval ``[edges[j, s], edges[j, s + 1])`` holds the value,
+as a per-value ``searchsorted`` finds it. The pass is a fixed number of
+whole-block NumPy calls: a per-position loop of small calls inside the
+workers made a build slower, as they contend for the GIL. NumPy's FFT,
+``reduceat``, ``isfinite``, ``take`` and the arithmetic release the GIL,
+and each block's temporaries stay in cache. Every row's approx values
+are computed alone and every value is binned alone, so the words are
+bit-equal to one whole-batch pass.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor
