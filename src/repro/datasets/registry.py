@@ -27,8 +27,12 @@ class DatasetSpec:
     repro_n: int
     domain: str  # seismology / astronomy / neuroscience / vector
     freq_profile: str  # "low" | "high" | "flat"
-    n_clusters: int = 256
-    within_noise: float = 0.3
+
+
+#: prototype series per dataset, shared by its indexing and query sets
+N_CLUSTERS = 256
+#: within-cluster noise: a drawn series' noise std over its prototype's std
+WITHIN_NOISE = 0.3
 
 
 def _tier(paper_n: int) -> int:
@@ -96,12 +100,11 @@ def _prototypes(spec: DatasetSpec, seed: int) -> np.ndarray:
     events (seismic phase windows, repeated descriptors, ...)."""
     gen = G.GENERATORS[spec.generator]
     return np.asarray(
-        gen(spec.n_clusters, spec.length, seed=seed + _stable_hash(spec.name),
+        gen(N_CLUSTERS, spec.length, seed=seed + _stable_hash(spec.name),
             **spec.kwargs), dtype=np.float64)
 
 
-def _draw(spec: DatasetSpec, protos: np.ndarray, n: int,
-          noise_seed: int) -> np.ndarray:
+def _draw(protos: np.ndarray, n: int, noise_seed: int) -> np.ndarray:
     """Draw ``n`` series: a random prototype plus within-cluster noise.
 
     Without this redundancy every series is near-orthogonal to every
@@ -111,38 +114,37 @@ def _draw(spec: DatasetSpec, protos: np.ndarray, n: int,
     """
     g = np.random.default_rng(noise_seed)
     assign = g.integers(0, len(protos), n)
-    scale = protos.std(axis=1)[assign][:, None] * spec.within_noise
+    scale = protos.std(axis=1)[assign][:, None] * WITHIN_NOISE
     x = protos[assign] + scale * g.standard_normal((n, protos.shape[1]))
     return x.astype(np.float32)
 
 
-def make_dataset(name: str, *, scale: float = 1.0, seed: int = 7,
-                 znorm: bool = True) -> np.ndarray:
+def make_dataset(name: str, *, scale: float = 1.0, seed: int = 7) -> np.ndarray:
     """Generate the indexing collection for a registry dataset.
 
     ``scale`` multiplies the repro-tier size (tests use ~0.05, the table
-    jobs 1.0). Returns float32 (N, length), z-normalized unless disabled.
+    jobs 1.0). Returns float32 (N, length), z-normalized.
     """
     spec = REGISTRY[name]
     n = max(16, int(round(spec.repro_n * scale)))
-    x = _draw(spec, _prototypes(spec, seed), n,
-              noise_seed=seed + _stable_hash(name) + 1)
-    return znormalize(x) if znorm else x
+    return znormalize(_draw(_prototypes(spec, seed), n,
+                            noise_seed=seed + _stable_hash(name) + 1))
 
 
 def make_queries(name: str, n_queries: int = 100, *, scale: float = 1.0,
-                 seed: int = 7, znorm: bool = True) -> np.ndarray:
+                 seed: int = 7) -> np.ndarray:
     """Held-out query series: same prototypes, disjoint noise draws —
     the paper's protocol of query sets kept separate from indexed data."""
     spec = REGISTRY[name]
-    x = _draw(spec, _prototypes(spec, seed), n_queries,
-              noise_seed=seed + _stable_hash(name) + _QUERY_SEED_OFFSET)
-    return znormalize(x) if znorm else x
+    return znormalize(_draw(_prototypes(spec, seed), n_queries,
+                            noise_seed=seed + _stable_hash(name) + _QUERY_SEED_OFFSET))
 
 
 # --------------------------------------------------------------------------
 # UCR-archive-like suite for the Table V TLB ablation: 20 small datasets
-# spanning the archive's diversity of shapes/spectra.
+# spanning the archive's diversity of shapes/spectra, of series of
+# ``UCR_LENGTH`` values (64 for ``u_walk_short``).
+UCR_LENGTH = 128
 _UCR_LIKE = [
     ("u_walk", "random_walk", {}),
     ("u_walk_drift", "random_walk", {"drift": 0.05}),
@@ -168,7 +170,7 @@ _UCR_LIKE = [
 ]
 
 
-def ucr_like(n_train: int = 200, n_test: int = 50, length: int = 128,
+def ucr_like(n_train: int = 200, n_test: int = 50,
              seed: int = 11) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """The UCR-archive stand-in: (name, train, test) triples, z-normalized.
 
@@ -178,7 +180,7 @@ def ucr_like(n_train: int = 200, n_test: int = 50, length: int = 128,
     out = []
     for i, (name, gen_name, kwargs) in enumerate(_UCR_LIKE):
         gen = G.GENERATORS[gen_name]
-        ln = 64 if name.endswith("_short") else length
+        ln = 64 if name.endswith("_short") else UCR_LENGTH
         train = znormalize(gen(n_train, ln, seed=seed + 2 * i, **kwargs))
         test = znormalize(gen(n_test, ln, seed=seed + 2 * i + 1, **kwargs))
         out.append((name, train, test))

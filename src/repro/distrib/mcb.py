@@ -12,9 +12,10 @@ from repro.distrib.dataset import to_matrix
 from repro.summaries.sfa import MIN_SAMPLE, SAMPLE_FRAC, SFASummary
 
 
-def fit_sfa_spark(df: DataFrame, *, fraction: float = SAMPLE_FRAC, l: int = 16,
-                  alphabet: int = 256, seed: int = 0) -> SFASummary:
-    """Learn an SFA summary from a ``fraction`` sample of a series DataFrame.
+def fit_sfa_spark(df: DataFrame, *, fraction: float = SAMPLE_FRAC,
+                  seed: int = 0) -> SFASummary:
+    """Learn an SFA summary, at ``SFASummary.fit``'s word shape, from a
+    ``fraction`` sample of a series DataFrame.
 
     A sample of fewer than ``MIN_SAMPLE`` rows is replaced by the first
     ``MIN_SAMPLE`` rows of ``df`` (all of it, if smaller).
@@ -23,4 +24,4 @@ def fit_sfa_spark(df: DataFrame, *, fraction: float = SAMPLE_FRAC, l: int = 16,
     if sample.num_rows < MIN_SAMPLE:
         sample = df.limit(MIN_SAMPLE).toArrow()
     _, X = to_matrix(sample)
-    return SFASummary.fit(X, l=l, alphabet=alphabet)
+    return SFASummary.fit(X)

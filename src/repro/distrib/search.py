@@ -43,7 +43,6 @@ from repro.distrib import cache
 from repro.distrib.dataset import to_matrix
 from repro.index.messi import build_messi
 from repro.index.sofa import build_sofa
-from repro.index.tree import LEAF_ROWS
 from repro.summaries.sfa import SFASummary
 
 METHODS = ("sofa", "messi", "ucr", "flat")
@@ -56,20 +55,20 @@ MERGED_SCHEMA = StructType([*RESULT_SCHEMA.fields,
                             StructField("rank", IntegerType(), nullable=False)])
 
 
-def _build_engine(batches: Iterator[pa.RecordBatch], method: str, summary,
-                  leaf_size: int):
+def _build_engine(batches: Iterator[pa.RecordBatch], method: str, summary):
     """The partition's engine as ``answer(queries, k)``, which returns each
-    query's ``[(dist, id), ...]``; None for an empty partition."""
+    query's ``[(dist, id), ...]``; None for an empty partition. A tree
+    picks its rows' float type itself (``TreeIndex`` calls ``stored_rows``)."""
     chunks = [b for b in batches if b.num_rows]
     if not chunks:
         return None
     ids, X = to_matrix(pa.Table.from_batches(chunks))
-    X = stored_rows(X)
     if method in ("ucr", "flat"):
+        X = stored_rows(X)
         scan = ucr_knn if method == "ucr" else flat_knn
         return lambda queries, k: scan(X, queries, k=k, ids=ids)
-    tree = build_sofa(X, ids=ids, summary=summary, leaf_size=leaf_size) \
-        if method == "sofa" else build_messi(X, ids=ids, leaf_size=leaf_size)
+    tree = build_sofa(X, ids=ids, summary=summary) if method == "sofa" \
+        else build_messi(X, ids=ids)
     return lambda queries, k: [tree.knn(q, k=k) for q in queries]
 
 
@@ -83,7 +82,7 @@ def _answer(engine, queries: np.ndarray, k: int) -> pa.RecordBatch:
         names=RESULT_SCHEMA.names)
 
 
-def _full_pass(method, queries, k, summary, leaf_size, token):
+def _full_pass(method, queries, k, summary, token):
     """mapInArrow closure: build (or fetch) engine from shipped data and
     answer the query batch."""
 
@@ -92,7 +91,7 @@ def _full_pass(method, queries, k, summary, leaf_size, token):
         pid = ctx.partitionId() if ctx is not None else -1
 
         def build():
-            return _build_engine(batches, method, summary, leaf_size)
+            return _build_engine(batches, method, summary)
 
         engine = cache.get_or_build((token, method, pid), build) if token \
             else build()
@@ -125,7 +124,7 @@ def _merge(local: pd.DataFrame, k: int) -> pd.DataFrame:
 
 def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
               method: str = "sofa", summary: SFASummary | None = None,
-              leaf_size: int = LEAF_ROWS, cache_token: str | None = None) -> DataFrame:
+              cache_token: str | None = None) -> DataFrame:
     """Exact k-NN of each query against a ``(id, series)`` DataFrame.
 
     Returns a Spark DataFrame ``(query_id, series_id, dist, rank)`` with
@@ -138,8 +137,9 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
     ``repro.distrib.mcb.fit_sfa_spark``) so every partition quantizes
     identically, as in the paper's single learned transformation
     (Figure 5); its word length and alphabet are the engine's. MESSI
-    partitions use ``build_messi``'s paper defaults (word length 16,
-    alphabet 256). ``cache_token`` enables the warm fast path (see module
+    partitions use ``SAXSummary``'s paper defaults (word length 16,
+    alphabet 256). Every partition's tree has ``LEAF_ROWS``-row leaves.
+    ``cache_token`` enables the warm fast path (see module
     docstring); it must uniquely identify (dataset, partitioning,
     method parameters). Raises ``ValueError`` for ``k < 1``, a non-finite
     query, or one whose length differs from the summary's series length.
@@ -155,6 +155,6 @@ def exact_knn(df: DataFrame, queries: np.ndarray, k: int = 1, *,
                          "(use repro.distrib.mcb.fit_sfa_spark)")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     check_series(queries, "query", summary.n if summary is not None else None)
-    full = _full_pass(method, queries, k, summary, leaf_size, cache_token)
+    full = _full_pass(method, queries, k, summary, cache_token)
     local = df.mapInArrow(full, schema=RESULT_SCHEMA).toPandas()
     return df.sparkSession.createDataFrame(_merge(local, k), MERGED_SCHEMA)

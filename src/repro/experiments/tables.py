@@ -4,18 +4,28 @@ Every function returns a pandas DataFrame shaped like the paper's table
 (see EXPERIMENTS.md for the paper-vs-measured comparison). Defaults are
 the full-size runs used by ``jobs/``; tests pass smaller ``datasets``/
 ``scale``/``n_queries``.
+
+Tables II-IV time searches with ``timed_search``, after the paper's
+protocol (the index is built once, then queries are timed); the paper's
+9/18/36 cores map to 4/8/16 partitions (DESIGN.md).
 """
+import time
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.datasets.registry import REGISTRY, make_dataset, make_queries, ucr_like
 from repro.distrib.dataset import series_df
 from repro.distrib.mcb import fit_sfa_spark
-from repro.experiments.runner import (CORES_TO_PARTITIONS, METHOD_KEYS,
-                                      timed_search)
+from repro.distrib.search import exact_knn
 from repro.experiments.tlb import fit_variants, tlb_spark
+from repro.summaries.sfa import SFASummary
 
+CORES_TO_PARTITIONS = {9: 4, 18: 8, 36: 16}
+#: paper method label -> per-partition engine key
+METHOD_KEYS = {"UCR suite": "ucr", "FAISS": "flat", "MESSI": "messi",
+               "SOFA": "sofa"}
 ALL_DATASETS = tuple(REGISTRY)
 ALL_METHODS = tuple(METHOD_KEYS)  # ("UCR suite", "FAISS", "MESSI", "SOFA")
 PAPER_CORES = (9, 18, 36)
@@ -31,6 +41,31 @@ def table1() -> pd.DataFrame:
         "generator": s.generator,
     } for s in REGISTRY.values()]
     return pd.DataFrame(rows)
+
+
+def timed_search(df: DataFrame, queries: np.ndarray, method: str, *,
+                 k: int = 1, summary: SFASummary | None = None,
+                 cache_token: str | None = None) -> dict:
+    """Time ``method`` (a paper label) answering ``queries`` over ``df``.
+
+    One warm-up call builds the engines (kept by the executors under
+    ``cache_token``), then one timed call answers the batch; ``summary``
+    is the SOFA summary. The batch wall time includes the fixed Spark
+    action cost, which at tier sizes is the dominant term for every
+    method equally (EXPERIMENTS.md). The caller owns ``df`` and its
+    caching.
+
+    Returns ``{"ms_per_query": float, "result": pandas DataFrame}``.
+    """
+    def call():
+        return exact_knn(df, queries, k=k, method=METHOD_KEYS[method],
+                         summary=summary, cache_token=cache_token).toPandas()
+
+    call()
+    t0 = time.perf_counter()
+    result = call()
+    dt = time.perf_counter() - t0
+    return {"ms_per_query": dt / len(queries) * 1000.0, "result": result}
 
 
 def _per_dataset_times(spark, datasets, methods, cores_list, *, ks=(1,),
@@ -112,14 +147,14 @@ def table4(spark: SparkSession, datasets=ALL_DATASETS,
             .agg(mean_ms="mean", median_ms="median").round(2).reset_index())
 
 
-def _tlb_table(spark, named_sets, alphabets, l, partitions,
+def _tlb_table(spark, named_sets, alphabets, partitions,
                max_eval_series) -> pd.DataFrame:
     """Shared core of tables V/VI: mean TLB per (method, alphabet)."""
     per_ds = []
     for name, train, queries in named_sets:
         ev = train[:max_eval_series]
         res = tlb_spark(spark, ev, queries,
-                        fit_variants(train, alphabets, l=l),
+                        fit_variants(train, alphabets),
                         partitions=partitions)
         for label, v in res.items():
             method, a = label.rsplit("|", 1)
@@ -130,19 +165,16 @@ def _tlb_table(spark, named_sets, alphabets, l, partitions,
             .unstack("alphabet").reset_index())
 
 
-def table5(spark: SparkSession, alphabets=ALPHABETS, *, l=16, n_train=200,
+def table5(spark: SparkSession, alphabets=ALPHABETS, *, n_train=200,
            n_test=50, partitions=8, seed=11) -> pd.DataFrame:
     """Table V: mean TLB on the UCR-like suite per alphabet size."""
-    sets = [(name, train, test)
-            for name, train, test in ucr_like(n_train=n_train, n_test=n_test,
-                                              seed=seed)]
-    return _tlb_table(spark, sets, alphabets, l, partitions,
-                      max_eval_series=n_train)
+    return _tlb_table(spark, ucr_like(n_train=n_train, n_test=n_test, seed=seed),
+                      alphabets, partitions, max_eval_series=n_train)
 
 
 def table6(spark: SparkSession, datasets=ALL_DATASETS, alphabets=ALPHABETS, *,
-           l=16, scale=1.0, n_queries=20, max_eval_series=1500,
-           partitions=8, seed=7) -> pd.DataFrame:
+           scale=1.0, n_queries=20, max_eval_series=1500, partitions=8,
+           seed=7) -> pd.DataFrame:
     """Table VI: mean TLB on the 17 SOFA dataset analogs.
 
     The indexing set learns the summaries (paper V-E2); TLB pairs use a
@@ -153,4 +185,4 @@ def table6(spark: SparkSession, datasets=ALL_DATASETS, alphabets=ALPHABETS, *,
         x = make_dataset(name, scale=scale, seed=seed)
         q = make_queries(name, n_queries, scale=scale, seed=seed)
         sets.append((name, x, q))
-    return _tlb_table(spark, sets, alphabets, l, partitions, max_eval_series)
+    return _tlb_table(spark, sets, alphabets, partitions, max_eval_series)

@@ -26,19 +26,18 @@ from repro.summaries.simd import batch_mindist2
 TLB_METHODS = ("SFA ED +VAR", "SFA EW +VAR", "iSAX")
 
 
-def fit_variants(train: np.ndarray, alphabets, l: int = 16) -> dict[str, SymbolicSummary]:
-    """Fit every (method, alphabet) summary on the training split.
+def fit_variants(train: np.ndarray, alphabets) -> dict[str, SymbolicSummary]:
+    """Fit every (method, alphabet) summary on the training split, at the
+    summaries' word length (16, the paper's).
 
     Keys are ``f"{method}|{alphabet}"``.
     """
     n = train.shape[1]
     out: dict[str, SymbolicSummary] = {}
     for a in alphabets:
-        out[f"SFA ED +VAR|{a}"] = SFASummary.fit(train, l=l, alphabet=a,
-                                                 binning="equi_depth")
-        out[f"SFA EW +VAR|{a}"] = SFASummary.fit(train, l=l, alphabet=a,
-                                                 binning="equi_width")
-        out[f"iSAX|{a}"] = SAXSummary(n, l=l, alphabet=a)
+        out[f"SFA ED +VAR|{a}"] = SFASummary.fit(train, alphabet=a, binning="equi_depth")
+        out[f"SFA EW +VAR|{a}"] = SFASummary.fit(train, alphabet=a, binning="equi_width")
+        out[f"iSAX|{a}"] = SAXSummary(n, alphabet=a)
     return out
 
 

@@ -12,8 +12,7 @@ from repro.summaries.sax import SAXSummary
 
 
 def build_messi(X: np.ndarray, ids: np.ndarray | None = None, *,
-                l: int = 16, alphabet: int = 256, leaf_size: int = LEAF_ROWS) -> TreeIndex:
+                leaf_size: int = LEAF_ROWS) -> TreeIndex:
     """Build a MESSI index over z-normalized series matrix ``X`` (N, n)."""
     X = np.atleast_2d(X)
-    summary = SAXSummary(n=X.shape[1], l=l, alphabet=alphabet)
-    return TreeIndex(summary, X, ids=ids, leaf_size=leaf_size)
+    return TreeIndex(SAXSummary(n=X.shape[1]), X, ids=ids, leaf_size=leaf_size)

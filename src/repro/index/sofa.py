@@ -14,12 +14,12 @@ from repro.summaries.sfa import MIN_SAMPLE, SAMPLE_FRAC, SFASummary
 
 
 def build_sofa(X: np.ndarray, ids: np.ndarray | None = None, *,
-               summary: SFASummary | None = None,
-               l: int = 16, alphabet: int = 256, leaf_size: int = LEAF_ROWS,
+               summary: SFASummary | None = None, leaf_size: int = LEAF_ROWS,
                seed: int = 0) -> TreeIndex:
     """Build a SOFA index over z-normalized series matrix ``X`` (N, n).
 
-    If ``summary`` is None, MCB is learned here from a ``SAMPLE_FRAC``
+    If ``summary`` is None, MCB is learned here, at ``SFASummary.fit``'s
+    word shape (the paper's l = 16, alphabet 256), from a ``SAMPLE_FRAC``
     sample of ``X`` (at least ``MIN_SAMPLE`` rows, or all of X if smaller),
     drawn without replacement by ``np.random.default_rng(seed)``.
     """
@@ -28,5 +28,5 @@ def build_sofa(X: np.ndarray, ids: np.ndarray | None = None, *,
         rng = np.random.default_rng(seed)
         n_sample = min(len(X), max(MIN_SAMPLE, int(round(SAMPLE_FRAC * len(X)))))
         rows = rng.choice(len(X), size=n_sample, replace=False)
-        summary = SFASummary.fit(X[rows], l=l, alphabet=alphabet)
+        summary = SFASummary.fit(X[rows])
     return TreeIndex(summary, X, ids=ids, leaf_size=leaf_size)

@@ -85,9 +85,12 @@ class SymbolicSummary:
 
     # -- shared ------------------------------------------------------------
     def words(self, x: np.ndarray) -> np.ndarray:
-        """Symbolic words ``(N, l)`` uint8 for a batch of raw series.
+        """Symbolic words ``(N, l)``, C-contiguous uint8, for a batch of raw
+        series: symbol ``s`` at position ``j`` satisfies
+        ``edges[j, s] <= approx(x)[:, j] < edges[j, s + 1]``.
 
-        Raises ``ValueError`` if a value of ``x`` is NaN or infinite.
+        Raises ``ValueError`` if a value of ``x`` or of its approx is NaN or
+        infinite, or the approx has other than ``l`` columns.
         """
         x = np.atleast_2d(x)
         out = np.empty((len(x), self.l), dtype=np.uint8)
@@ -104,19 +107,6 @@ class SymbolicSummary:
             # reading every result re-raises the first failing block's error
             for _ in pool.map(fill, starts):
                 pass
-        return out
-
-    def words_from_approx(self, a: np.ndarray) -> np.ndarray:
-        """Quantize approx rows ``(N, l)`` into C-contiguous uint8 symbols.
-
-        Symbol ``s`` at position ``j`` satisfies
-        ``edges[j, s] <= a[:, j] < edges[j, s + 1]``.
-        Raises ``ValueError`` if ``a`` has other than ``l`` columns or a
-        value of ``a`` is NaN or infinite.
-        """
-        a = np.atleast_2d(a)
-        out = np.empty((len(a), a.shape[1]), dtype=np.uint8)
-        _Grid(self.edges).bin(a, out)
         return out
 
 

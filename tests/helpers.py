@@ -1,12 +1,13 @@
 """Shared test utilities: data factories, a brute-force oracle, the DuckDB
 k-NN query over exploded series, the scalar Eq. 2 reference the batched
-LBD kernels are checked against, the per-position searchsorted
-reference of the word quantizer and the Python-int reference of the
-z-order sort."""
+LBD kernels are checked against, a summary whose ``words`` bin their input
+as given, the per-position searchsorted reference of the word quantizer
+and the Python-int reference of the z-order sort."""
 import numpy as np
 import pandas as pd
 
 from repro.core.znorm import znormalize
+from repro.summaries.common import SymbolicSummary
 
 
 def znormed(n_series: int, length: int, seed: int = 0) -> np.ndarray:
@@ -75,9 +76,23 @@ def mindist2_ref(qvals, word, edges, weights) -> float:
     return float(total)
 
 
+class Columns(SymbolicSummary):
+    """A summary whose approx values are the series' own values, so that
+    ``words`` bins its input through the production block pass."""
+
+    def approx(self, x):
+        return np.asarray(x, dtype=np.float64)
+
+
+def columns_of(summary: SymbolicSummary) -> Columns:
+    """A ``Columns`` summary with the edges of ``summary``."""
+    return Columns(l=summary.l, alphabet=summary.alphabet, edges=summary.edges,
+                   weights=summary.weights)
+
+
 def words_ref(a, edges) -> np.ndarray:
     """Per-position ``np.searchsorted`` over the interior edges, written
-    apart from ``words_from_approx`` — the symbols it must reproduce."""
+    apart from the quantizer of ``words`` — the symbols it must reproduce."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     out = np.empty(a.shape, dtype=np.uint8)
     for j in range(a.shape[1]):

@@ -24,7 +24,8 @@ from repro.baselines import flat_knn, ucr_knn
 from repro.core.znorm import znormalize
 from repro.distrib import exact_knn, gemini_knn_sql, series_df, with_words
 from repro.distrib.search import METHODS
-from repro.index import build_messi, build_sofa
+from repro.index import TreeIndex, build_sofa
+from repro.summaries.sax import SAXSummary
 from repro.summaries.sfa import SFASummary
 from tests.helpers import KNN_SQL, brute_knn, long_table, znormed
 
@@ -127,7 +128,7 @@ def _in_process(engine, X, ids, summary):
         idx = build_sofa(X, ids=ids, summary=summary, leaf_size=4)
         return lambda q, k: idx.knn(q, k=k)
     if engine == "messi":
-        idx = build_messi(X, ids=ids, l=8, alphabet=16, leaf_size=4)
+        idx = TreeIndex(SAXSummary(X.shape[1], l=8, alphabet=16), X, ids=ids, leaf_size=4)
         return lambda q, k: idx.knn(q, k=k)
     scan = ucr_knn if engine == "ucr" else flat_knn
     return lambda q, k: scan(X, q[None, :], k=k, ids=ids)[0]
@@ -183,8 +184,8 @@ def _judge(got, judges, what):
 @pytest.mark.parametrize("method", METHODS)
 def test_exact_knn_matches_brute_force_and_oracle(spark_case, method):
     case, Q, k, summary, frame, judges = spark_case
-    res = exact_knn(frame, Q, k=k, method=method, summary=summary,
-                    leaf_size=4).toPandas().sort_values(["query_id", "rank"])
+    res = exact_knn(frame, Q, k=k, method=method,
+                    summary=summary).toPandas().sort_values(["query_id", "rank"])
     for qi in range(len(Q)):
         _judge(res[res.query_id == qi], {n: exp[qi] for n, exp in judges.items()},
                f"{method} {case} query {qi}")

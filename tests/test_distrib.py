@@ -44,8 +44,15 @@ def df(spark, data):
 
 
 @pytest.fixture(scope="module")
-def summary(df):
-    return fit_sfa_spark(df, fraction=0.5, l=8, alphabet=32, seed=1)
+def summary(data):
+    """A coarser word than the paper's (l = 8, alphabet 32), fitted in
+    process: every Spark path takes its word shape from the summary."""
+    return SFASummary.fit(data[0][::2], l=8, alphabet=32)
+
+
+@pytest.fixture(scope="module")
+def spark_summary(df):
+    return fit_sfa_spark(df, fraction=0.5, seed=1)
 
 
 # ------------------------------------------------------------------ dataset
@@ -187,31 +194,37 @@ def test_read_rows_rejects_null_id():
 
 
 # ---------------------------------------------------------------------- mcb
-def test_fit_sfa_spark_valid_summary(summary):
-    assert summary.l == 8
-    assert summary.edges.shape == (8, 33)
-    assert (np.diff(summary.edges[:, 1:-1], axis=1) >= -1e-12).all()
+def test_fit_sfa_spark_valid_summary(spark_summary):
+    """The paper's word shape: 16 positions of 256 symbols."""
+    assert spark_summary.l == 16
+    assert spark_summary.edges.shape == (16, 257)
+    assert (np.diff(spark_summary.edges[:, 1:-1], axis=1) >= -1e-12).all()
 
 
 def test_fit_sfa_spark_small_fraction_falls_back(spark):
     X = znormed(100, 32, seed=2)
     d = series_df(spark, X)
-    s = fit_sfa_spark(d, fraction=0.001, l=4, alphabet=8)
+    s = fit_sfa_spark(d, fraction=0.001)
     # fell back to the first MIN_SAMPLE rows rather than failing
     ids, _ = to_matrix(d.limit(MIN_SAMPLE).toArrow())
     assert len(ids) == MIN_SAMPLE == 64
-    exp = SFASummary.fit(X[ids], l=4, alphabet=8)
+    exp = SFASummary.fit(X[ids])
     np.testing.assert_array_equal(s.coeffs, exp.coeffs)
     np.testing.assert_array_equal(s.imag, exp.imag)
     np.testing.assert_array_equal(s.edges, exp.edges)
 
 
-def test_fit_sfa_spark_matches_local_fit_distribution(df, data, summary):
-    # learned bins must cover the bulk of the data's component values
+def test_fit_sfa_spark_matches_local_fit_distribution(df, data, spark_summary):
+    """The Spark fit is the local fit of the sampled rows, and its bins
+    span the data: every position's sample extremes land in the first and
+    the last bin."""
     X, _ = data
-    comps = summary.approx(X)
-    words = summary.words_from_approx(comps)
-    assert words.min() >= 0 and words.max() <= 31
+    ids, _ = to_matrix(df.sample(fraction=0.5, seed=1).toArrow())
+    exp = SFASummary.fit(X[ids])
+    for name in ("coeffs", "imag", "edges"):
+        np.testing.assert_array_equal(getattr(spark_summary, name), getattr(exp, name))
+    words = spark_summary.words(X)
+    assert (words.min(axis=0) == 0).all() and (words.max(axis=0) == 255).all()
 
 
 # ------------------------------------------------------------- exact search
@@ -219,8 +232,8 @@ def test_fit_sfa_spark_matches_local_fit_distribution(df, data, summary):
 @pytest.mark.parametrize("k", [1, 3])
 def test_exact_knn_matches_brute_force(spark, df, data, summary, method, k):
     X, Q = data
-    res = exact_knn(df, Q, k=k, method=method, summary=summary,
-                    leaf_size=32).toPandas().sort_values(["query_id", "rank"])
+    res = exact_knn(df, Q, k=k, method=method,
+                    summary=summary).toPandas().sort_values(["query_id", "rank"])
     exp = flat_knn(X, Q, k=k)
     for qi in range(len(Q)):
         got = res[res.query_id == qi]
@@ -235,7 +248,7 @@ def test_exact_knn_against_duckdb_oracle(spark, df, data, summary, method):
     k-NN expressed in SQL over exploded series tables."""
     X, Q = data
     k = 2
-    res = exact_knn(df, Q, k=k, method=method, summary=summary, leaf_size=32)
+    res = exact_knn(df, Q, k=k, method=method, summary=summary)
     assert_equivalent(res, KNN_SQL.format(k=k),
                       data_long=long_table(X, "series_id"),
                       queries_long=long_table(Q, "query_id"))
@@ -266,9 +279,9 @@ def test_exact_knn_rejects_bad_query(df, data, summary, bad):
 
 def test_exact_knn_with_cache_token_is_stable(spark, df, data, summary):
     X, Q = data
-    a = exact_knn(df, Q, k=1, method="sofa", summary=summary, leaf_size=32,
+    a = exact_knn(df, Q, k=1, method="sofa", summary=summary,
                   cache_token="t1").toPandas().sort_values("query_id")
-    b = exact_knn(df, Q, k=1, method="sofa", summary=summary, leaf_size=32,
+    b = exact_knn(df, Q, k=1, method="sofa", summary=summary,
                   cache_token="t1").toPandas().sort_values("query_id")
     pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                   b.reset_index(drop=True))
@@ -279,7 +292,7 @@ def test_cache_hit_drains_shipped_rows(data):
     must still consume its partition's batches."""
     X, Q = data
     batch = series_table(X).to_batches()[0]
-    run = _full_pass("flat", Q, 1, None, 128, "drain-test")
+    run = _full_pass("flat", Q, 1, None, "drain-test")
     try:
         for _ in range(2):  # build, then hit
             batches = iter([batch])
@@ -292,7 +305,7 @@ def test_cache_hit_drains_shipped_rows(data):
 def test_exact_knn_single_partition(spark, data, summary):
     X, Q = data
     d1 = series_df(spark, X, num_partitions=1)
-    res = exact_knn(d1, Q, k=1, method="messi", leaf_size=32).toPandas()
+    res = exact_knn(d1, Q, k=1, method="messi").toPandas()
     exp = flat_knn(X, Q, k=1)
     got = res.sort_values("query_id").series_id.tolist()
     assert got == [exp[qi][0][1] for qi in range(len(Q))]
@@ -308,7 +321,7 @@ MERGED = StructType([StructField("query_id", LongType()),
 def test_exact_knn_empty_inputs_keep_schema(df, data, summary, method):
     X, Q = data
     for frame, queries in ((df.limit(0), Q), (df, Q[:0])):
-        res = exact_knn(frame, queries, k=3, method=method, summary=summary, leaf_size=32)
+        res = exact_knn(frame, queries, k=3, method=method, summary=summary)
         assert res.schema == MERGED
         out = res.toPandas()
         assert out.empty
@@ -319,7 +332,7 @@ def test_exact_knn_runs_at_most_two_jobs_without_exchange(spark, df, data, summa
     sc = spark.sparkContext
     sc.setJobGroup("exact-knn-one-action", "per-partition top-k, merged on the driver")
     try:
-        res = exact_knn(df, data[1], k=3, method="sofa", summary=summary, leaf_size=32)
+        res = exact_knn(df, data[1], k=3, method="sofa", summary=summary)
         assert len(res.toPandas()) == 3 * len(data[1])
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
@@ -599,27 +612,29 @@ def test_with_words_rejects_bad_rows(spark, data, summary, case):
 def test_exact_knn_rejects_bad_rows(spark, data, summary, method, case):
     frame = _bad_frame(spark, case, data[0][:8])
     with pytest.raises(PythonException, match=f"ValueError: .*{SPARK_BAD[case]}"):
-        exact_knn(frame, data[1], k=2, method=method, summary=summary, leaf_size=4)
+        exact_knn(frame, data[1], k=2, method=method, summary=summary)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ROWS))
 def test_fit_sfa_spark_rejects_bad_rows(spark, data, case):
     frame = _bad_frame(spark, case, data[0][:70])
     with pytest.raises(ValueError, match=BAD_ROWS[case]):
-        fit_sfa_spark(frame, fraction=1.0, l=8, alphabet=32)
+        fit_sfa_spark(frame, fraction=1.0)
 
 
 def test_fit_sfa_spark_rejects_rows_too_short_for_the_word(spark, data):
-    frame = _bad_frame(spark, "short", data[0][:70, :9])
+    """Rows of 16 values have 15 candidate components, one short of the
+    paper's 16-position word."""
+    frame = _bad_frame(spark, "short", data[0][:70, :17])
     with pytest.raises(ValueError, match="candidate components"):
-        fit_sfa_spark(frame, fraction=1.0, l=8, alphabet=32)
+        fit_sfa_spark(frame, fraction=1.0)
 
 
 def test_full_pass_reads_split_and_zero_row_batches(data):
     X, Q = data
     batches = series_table(X).to_batches(max_chunksize=100)
     empty = batches[0].slice(0, 0)
-    run = _full_pass("flat", Q, 2, None, 128, None)
+    run = _full_pass("flat", Q, 2, None, None)
     out = pa.Table.from_batches(list(run(iter([empty, *batches, empty]))))
     exp = flat_knn(X, Q, k=2)
     assert out.column("query_id").to_pylist() == [0, 0, 1, 1, 2, 2, 3, 3]
@@ -636,8 +651,8 @@ def test_empty_partitions_answer_correctly(spark, data, summary):
     np.testing.assert_array_equal(np.stack(out.word.to_numpy()), summary.words(X[:6]))
     exp = flat_knn(X[:6], Q, k=3)
     for method in METHODS:
-        res = exact_knn(small, Q, k=3, method=method, summary=summary,
-                        leaf_size=4).toPandas().sort_values(["query_id", "rank"])
+        res = exact_knn(small, Q, k=3, method=method,
+                        summary=summary).toPandas().sort_values(["query_id", "rank"])
         assert res.series_id.tolist() == [i for r in exp for _, i in r], method
 
 
@@ -661,9 +676,9 @@ def test_python_stages_map_in_arrow(spark, df, data, summary, collected_plans, p
     if path == "with_words":
         with_words(df, summary).collect()
     elif path == "exact_knn":
-        exact_knn(df, data[1], k=2, method="sofa", summary=summary, leaf_size=32)
+        exact_knn(df, data[1], k=2, method="sofa", summary=summary)
     else:
-        train = znormed(30, 16, seed=7)
-        tlb_spark(spark, train, train[:2], fit_variants(train, (4,), l=4), partitions=2)
+        train = znormed(30, 32, seed=7)
+        tlb_spark(spark, train, train[:2], fit_variants(train, (4,)), partitions=2)
     assert any("MapInArrow" in plan for plan in collected_plans)
     assert not any("MapInPandas" in plan for plan in collected_plans)

@@ -16,9 +16,8 @@ from repro.datasets import make_dataset, make_queries
 from repro.distrib import fit_sfa_spark, series_df
 from repro.experiments import local_bench, tables
 from repro.experiments.local_bench import local_engine_times, local_scale_curve
-from repro.experiments.runner import METHOD_KEYS, timed_search
-from repro.experiments.tables import (table1, table2, table3, table4, table5,
-                                      table6)
+from repro.experiments.tables import (METHOD_KEYS, table1, table2, table3,
+                                      table4, table5, table6, timed_search)
 from repro.experiments.tlb import TLB_METHODS, fit_variants, tlb_spark
 from repro.index import SearchStats, TreeIndex, build_sofa
 from tests.helpers import znormed

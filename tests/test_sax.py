@@ -5,7 +5,7 @@ import pytest
 from repro.core.distance import ed2_batch
 from repro.summaries.sax import SAXSummary, norm_ppf, sax_breakpoints
 from repro.summaries.simd import batch_mindist2
-from tests.helpers import mindist2_ref, znormed
+from tests.helpers import columns_of, mindist2_ref, znormed
 
 
 def test_norm_ppf_known_values():
@@ -52,10 +52,8 @@ def test_words_in_range(alphabet):
 
 def test_word_of_extreme_values_hits_boundary_symbols():
     s = SAXSummary(16, l=4, alphabet=8)
-    hi = np.full((1, 16), 100.0)
-    lo = np.full((1, 16), -100.0)
-    assert (s.words_from_approx(s.approx(hi) * 0 + 100) == 7).all()
-    assert (s.words_from_approx(s.approx(lo) * 0 - 100) == 0).all()
+    assert (columns_of(s).words(np.full((1, 4), 100.0)) == 7).all()
+    assert (columns_of(s).words(np.full((1, 4), -100.0)) == 0).all()
 
 
 def test_approx_is_paa():

@@ -78,7 +78,7 @@ def test_interval_batch_matches_mindist_ref():
     leaf's symbol box."""
     X = znormed(200, 64, seed=11)
     for leaf_size in (1, 7, 64):
-        idx = build_sofa(X, l=8, alphabet=256, leaf_size=leaf_size)
+        idx = build_sofa(X, summary=SFASummary.fit(X, l=8), leaf_size=leaf_size)
         s = idx.summary
         qv = s.approx(znormed(1, 64, seed=13))[0]
         got = batch_interval_mindist2(qv, idx.leaf_lo, idx.leaf_hi, s.edges, s.weights)

@@ -9,6 +9,7 @@ import pytest
 from repro.core.znorm import znormalize
 from repro.datasets.generators import seismic, sine_mix, vector_gaussian
 from repro.datasets.registry import make_dataset, make_queries
+from repro.distrib.mcb import fit_sfa_spark
 from repro.distrib.search import exact_knn
 from repro.index import build_messi, build_sofa
 from repro.index import tree
@@ -212,10 +213,18 @@ def test_bad_leaf_size_raises():
         build_messi(znormed(5, 32), leaf_size=0)
 
 
-@pytest.mark.parametrize("fn", [TreeIndex, build_sofa, build_messi, exact_knn])
+@pytest.mark.parametrize("fn", [TreeIndex, build_sofa, build_messi, exact_knn, fit_sfa_spark])
 def test_every_tree_defaults_to_leaf_rows(fn):
-    """SOFA, MESSI and every Spark partition share one leaf size."""
-    assert inspect.signature(fn).parameters["leaf_size"].default == tree.LEAF_ROWS
+    """SOFA, MESSI and every Spark partition share one leaf size, which only
+    ``TreeIndex`` and the two builders take, and the word shape is the
+    summary's: no builder or Spark entry point takes a word length or an
+    alphabet."""
+    params = inspect.signature(fn).parameters
+    if fn in (TreeIndex, build_sofa, build_messi):
+        assert params["leaf_size"].default == tree.LEAF_ROWS
+    else:
+        assert "leaf_size" not in params
+    assert not {"l", "alphabet"} & set(params)
 
 
 @pytest.mark.parametrize("name,builder", BUILDERS)

@@ -1,6 +1,7 @@
-"""The word quantizer shared by iSAX and SFA (``SymbolicSummary``):
-``words_from_approx`` and the threaded row-block pass of ``words``
-against the reference ``words_ref`` on and around every edge, the
+"""The word quantizer shared by iSAX and SFA (``SymbolicSummary``): the
+threaded row-block pass of ``words``, on ``Columns`` summaries that bin
+their input as given and on the two real summaries, against the
+reference ``words_ref`` on and around every edge, the
 rejection of non-finite input and of unusable edges, blocked words
 against one whole-batch pass, and a summary that the word pass leaves as
 it found it."""
@@ -13,17 +14,18 @@ import pytest
 from repro.summaries.common import BLOCK_ROWS, SymbolicSummary
 from repro.summaries.sax import SAXSummary, sax_breakpoints
 from repro.summaries.sfa import SFASummary, _learn_edges
-from tests.helpers import words_ref, znormed
+from tests.helpers import Columns, columns_of, words_ref, znormed
 
 MAX = np.finfo(np.float64).max
 
 
-def summary_of(rows) -> SymbolicSummary:
-    """A summary with one position per row of interior edges."""
+def summary_of(rows) -> Columns:
+    """A summary that bins its input with one position per row of interior
+    edges."""
     rows = np.asarray(rows, dtype=np.float64)
     l, a1 = rows.shape
     edges = np.concatenate([np.full((l, 1), -np.inf), rows, np.full((l, 1), np.inf)], axis=1)
-    return SymbolicSummary(l=l, alphabet=a1 + 1, edges=edges, weights=np.ones(l))
+    return Columns(l=l, alphabet=a1 + 1, edges=edges, weights=np.ones(l))
 
 
 def probes(inner, rng) -> np.ndarray:
@@ -61,7 +63,7 @@ def test_words_match_per_position_searchsorted(alphabet, kind):
     s = summary_of([inner, inner * 0.5, inner - 3.0])
     g = np.random.default_rng(7)
     a = np.stack([probes(row, g) for row in s.edges[:, 1:-1]], axis=1)
-    words = s.words_from_approx(a)
+    words = s.words(a)
     np.testing.assert_array_equal(words, words_ref(a, s.edges))
     assert words.dtype == np.uint8 and words.flags.c_contiguous
 
@@ -77,20 +79,13 @@ def test_summary_rejects_unusable_edges(bad):
         summary_of([inner, sax_breakpoints(8)])
 
 
-class Columns(SymbolicSummary):
-    """A summary whose approx values are the series' own values."""
-
-    def approx(self, x):
-        return np.asarray(x, dtype=np.float64)
-
-
 @pytest.mark.parametrize("alphabet", [4, 256])
 def test_blocked_words_match_reference_on_every_edge(alphabet):
     """Every full block of ``words`` holds every interior edge and 1 ulp
     either side of it, at a different offset in each block."""
     rows = edge_rows(alphabet)
     inner = np.stack([rows["sax"], rows["sfa_equi_depth_duplicates"], rows["all_equal"]])
-    s = Columns(l=3, alphabet=alphabet, edges=summary_of(inner).edges, weights=np.ones(3))
+    s = summary_of(inner)
     vals = np.concatenate([inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)],
                           axis=1)
     X = np.concatenate([np.resize(np.roll(vals, 37 * b, axis=1), (3, BLOCK_ROWS)).T
@@ -121,7 +116,7 @@ def test_sax_words_match_reference(alphabet):
 def test_words_of_tiny_batches(rows):
     s = SAXSummary(32, l=4, alphabet=8)
     a = np.random.default_rng(3).standard_normal((rows, 4))
-    words = s.words_from_approx(a)
+    words = columns_of(s).words(a)
     assert words.shape == (rows, 4) and words.dtype == np.uint8
     assert words.flags.c_contiguous
     np.testing.assert_array_equal(words, words_ref(a, s.edges))
@@ -131,22 +126,22 @@ def test_words_of_one_series():
     s = SAXSummary(32, l=4, alphabet=8)
     x = znormed(1, 32, seed=3)
     np.testing.assert_array_equal(s.words(x[0]), s.words(x))
-    np.testing.assert_array_equal(s.words_from_approx(s.approx(x)[0]), s.words(x))
+    np.testing.assert_array_equal(columns_of(s).words(s.approx(x)[0]), s.words(x))
 
 
 def test_words_c_contiguous_for_fortran_input():
     X = znormed(300, 64, seed=4)
     s = SFASummary.fit(X, l=8, alphabet=16)
     a = np.asfortranarray(s.approx(X))
-    words = s.words_from_approx(a)
+    words = columns_of(s).words(a)
     assert words.flags.c_contiguous
     np.testing.assert_array_equal(words, words_ref(a, s.edges))
 
 
-def test_words_from_approx_rejects_wrong_width():
-    s = SAXSummary(32, l=4, alphabet=8)
+def test_words_reject_wrong_approx_width():
+    s = columns_of(SAXSummary(32, l=4, alphabet=8))
     with pytest.raises(ValueError, match="columns"):
-        s.words_from_approx(np.zeros((3, 5)))
+        s.words(np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("summary", ["sax", "sfa"])
@@ -167,7 +162,7 @@ def test_words_reject_non_finite(summary, bad):
     a = s.approx(X[:3])
     a[1, 2] = np.nan if bad == "one nan" else np.inf
     with pytest.raises(ValueError, match="finite"):
-        s.words_from_approx(a)
+        columns_of(s).words(a)
 
 
 def test_words_reject_a_value_the_approx_does_not_read():
@@ -179,7 +174,7 @@ def test_words_reject_a_value_the_approx_does_not_read():
     s = Tail(l=4, alphabet=8, edges=SAXSummary(32, 4, 8).edges, weights=np.ones(4))
     x = np.zeros((3, 5))
     x[1, 0] = np.nan
-    np.testing.assert_array_equal(s.words_from_approx(s.approx(x)), np.full((3, 4), 4))
+    np.testing.assert_array_equal(columns_of(s).words(s.approx(x)), np.full((3, 4), 4))
     with pytest.raises(ValueError, match="finite"):
         s.words(x)
 
@@ -195,13 +190,13 @@ def _blocked_summaries() -> dict[str, SymbolicSummary]:
 @pytest.mark.parametrize("kind", ["sfa-float32", "sfa-float64", "sax-float32"])
 def test_blocked_words_equal_one_pass(kind, rows):
     """Words of a batch computed in row blocks on threads are bit-equal to
-    one approx pass over the whole batch."""
+    one approx pass over the whole batch, binned by the reference."""
     name, dtype = kind.split("-")
     s = _blocked_summaries()[name]
     X = znormed(rows, 64, seed=rows).astype(dtype)
     words = s.words(X)
     assert words.dtype == np.uint8 and words.flags.c_contiguous
-    np.testing.assert_array_equal(words, s.words_from_approx(s.approx(X)))
+    np.testing.assert_array_equal(words, words_ref(s.approx(X), s.edges))
 
 
 @pytest.mark.parametrize("summary", ["sfa", "sax"])
@@ -239,7 +234,6 @@ def test_words_leave_the_summary_unchanged(summary):
     s = _blocked_summaries()[summary]
     before = copy.deepcopy(vars(s))
     s.words(znormed(2 * BLOCK_ROWS + 1, 64, seed=12))
-    s.words_from_approx(np.zeros((3, s.l)))
     after = vars(s)
     assert sorted(after) == sorted(before)
     for name, value in before.items():
