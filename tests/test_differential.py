@@ -13,7 +13,8 @@ identity's round-off), all-zero rows (constant series after z-normalization),
 ``k >= N``, copies on both sides of the UCR scan's block seam, float64
 near-copies closer than float32 resolution, and a three-row collection
 spread over eight partitions, so most partitions are empty and the rest
-hold a single row.
+hold a single row. On the Spark paths the seam copies sit in one partition,
+so its tree drains many leaves.
 """
 import duckdb
 import numpy as np
@@ -109,7 +110,7 @@ CASES = {
 }
 # name -> (k, partitions) on the Spark paths
 SPARK_CASES = {"int_ties": (7, 4), "float_dups": (3, 4), "zeros": (40, 4), "tiny": (5, 8),
-               "f64_near_dups": (2, 4)}
+               "seam_ties": (7, 1), "f64_near_dups": (2, 4)}
 
 
 def _expected(X, ids, Q, k):

@@ -213,18 +213,21 @@ def test_bad_leaf_size_raises():
         build_messi(znormed(5, 32), leaf_size=0)
 
 
-@pytest.mark.parametrize("fn", [TreeIndex, build_sofa, build_messi, exact_knn, fit_sfa_spark])
+@pytest.mark.parametrize("fn", [TreeIndex, build_sofa, build_messi, exact_knn])
 def test_every_tree_defaults_to_leaf_rows(fn):
     """SOFA, MESSI and every Spark partition share one leaf size, which only
-    ``TreeIndex`` and the two builders take, and the word shape is the
-    summary's: no builder or Spark entry point takes a word length or an
-    alphabet."""
+    ``TreeIndex`` and the two builders take."""
     params = inspect.signature(fn).parameters
-    if fn in (TreeIndex, build_sofa, build_messi):
-        assert params["leaf_size"].default == tree.LEAF_ROWS
-    else:
+    if fn is exact_knn:
         assert "leaf_size" not in params
-    assert not {"l", "alphabet"} & set(params)
+    else:
+        assert params["leaf_size"].default == tree.LEAF_ROWS
+
+
+@pytest.mark.parametrize("fn", [TreeIndex, build_sofa, build_messi, exact_knn, fit_sfa_spark])
+def test_word_shape_belongs_to_the_summary(fn):
+    """No builder or Spark entry point takes a word length or an alphabet."""
+    assert not {"l", "alphabet"} & set(inspect.signature(fn).parameters)
 
 
 @pytest.mark.parametrize("name,builder", BUILDERS)

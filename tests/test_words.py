@@ -155,14 +155,27 @@ def test_words_reject_non_finite(summary, bad):
         X[3] = np.inf
     else:
         X[3, 0] = -np.inf
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="series values must be finite"):
         s.words(X)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="series values must be finite"):
         s.words(X[3])
     a = s.approx(X[:3])
-    a[1, 2] = np.nan if bad == "one nan" else np.inf
-    with pytest.raises(ValueError, match="finite"):
-        columns_of(s).words(a)
+    a[1, 2] = {"one nan": np.nan, "all inf": np.inf, "one -inf": -np.inf}[bad]
+    s.approx = lambda x: a  # a non-finite approx of finite series
+    with pytest.raises(ValueError, match="approx values must be finite"):
+        s.words(X[:3])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("summary", ["sax", "sfa"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_words_reject_a_non_finite_approx_of_a_finite_series(summary, sign):
+    """A finite series can have a non-finite approx: the float64 PAA sum
+    and the DFT of the largest float64 values overflow."""
+    X = znormed(20, 32, seed=5).astype(np.float64)
+    s = SAXSummary(32, 4, 8) if summary == "sax" else SFASummary.fit(X, l=4, alphabet=8)
+    with pytest.raises(ValueError, match="approx values must be finite"):
+        s.words(np.full((1, 32), sign * MAX))
 
 
 def test_words_reject_a_value_the_approx_does_not_read():
