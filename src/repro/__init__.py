@@ -8,8 +8,8 @@ thread per core (they size FAISS's thread pool to the core count; our
 "cores" are partitions, each a single-threaded worker). The threads that
 ``SymbolicSummary.words`` starts for a large batch run NumPy FFT and
 ``reduceat`` work, not BLAS, so the pin still holds; a Spark partition
-at benchmark scale is one block and starts none. Override via
-environment.
+at benchmark scale is one block, run on the one thread its pool starts.
+Override via environment.
 """
 import os as _os
 

@@ -1,15 +1,15 @@
 """FAISS IndexFlatL2 analog: exact batched brute force under L2.
 
 FAISS's flat index answers query batches with a BLAS GEMM over the
-``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` identity plus a top-k
-selection — no summarization, no pruning. The paper runs it with query
-mini-batches sized to the core count; here the query batch hits each
-partition in blocks of ``QUERY_BLOCK`` queries, one GEMM per block over a
-float64 copy of the rows made once per call, and NumPy's BLAS plays MKL's
-role.
-The GEMM values carry round-off, so they only shortlist: rows within the
-identity's error bound of the k-th are measured again by direct float64
-differences, so that float duplicates tie exactly and fall to the id.
+identity ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` plus a top-k
+selection: no summarization, no pruning. The paper runs it with query
+mini-batches sized to the core count. Here a call copies the rows to
+float64 and takes their squared norms once, then runs one GEMM per block
+of ``QUERY_BLOCK`` queries (``_gemm_ed2``); NumPy's BLAS plays MKL's role.
+The identity's round-off is absolute, about eps (|q|^2 + |x|^2), so its
+values only shortlist: the rows within its error bound of the k-th value
+are measured again by ``ed2_batch``'s direct float64 differences, so
+that float duplicates tie exactly and fall to the id.
 """
 import numpy as np
 
@@ -42,10 +42,11 @@ def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
     # GEMM value; 8 n eps leaves room for the re-measure's own round-off.
     err = 8.0 * X.shape[1] * np.finfo(np.float64).eps
     X = np.asarray(X, dtype=np.float64)
+    xx = np.einsum("ij,ij->i", X, X)
     out = []
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo:lo + QUERY_BLOCK]
-        for q, row in zip(block, ed2_batch(block, X)):
+        for q, row in zip(block, _gemm_ed2(block, X, xx)):
             qq = float(np.dot(q, q.astype(np.float64)))
             kth = np.partition(row, kk - 1)[kk - 1]
             cand = np.flatnonzero(row <= kth + err * (qq + (np.sqrt(qq) + np.sqrt(kth)) ** 2))
@@ -53,3 +54,13 @@ def flat_knn(X: np.ndarray, queries: np.ndarray, k: int = 1,
             top.push(ed2_batch(q, X, rows=cand), ids[cand])
             out.append(top.pairs())
     return out
+
+
+def _gemm_ed2(queries: np.ndarray, X: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Squared ED (Q, N) from ``queries`` (Q, n) to the float64 rows ``X``
+    (N, n), whose squared norms are ``xx``, by the GEMM identity. Negative
+    round-off is clipped to 0, so the shortlist bound can take square roots."""
+    q = np.asarray(queries, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", q, q)[:, None] + xx - 2.0 * (q @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2

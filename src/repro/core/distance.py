@@ -1,11 +1,11 @@
-"""Euclidean distance kernels, the top-k and the input checks every engine shares.
+"""The exact distance kernel, the top-k and the input checks every engine shares.
 
-- ``ed2_batch``: exact batch squared ED. Given two batches it uses the
-  GEMM identity ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` (the FAISS
-  IndexFlatL2 analog's shortlist, the TLB experiment). Given one query, a
-  collection and ``rows=``, it verifies the tree's survivors and the UCR
-  scan's blocks by early abandoning: direct float64 differences summed over
-  fixed column cuts, dropping a row once its running sum passes ``bound2``.
+- ``ed2_batch``: the one exact squared ED, from one query to the rows
+  ``rows=`` of a collection: direct float64 differences summed over fixed
+  column cuts, dropping a row once its running sum passes ``bound2``. It
+  verifies the tree's survivors, the UCR scan's blocks and the flat scan's
+  GEMM shortlist (``repro.baselines.flat_l2``), and gives the TLB
+  experiment its true distances.
 - ``TopK``: the one top-k of every exact search path, ordered by
   ``(d2, id)``, with GEMINI's keep test ``bound2()``.
 - ``check_series`` / ``check_k``: reject non-finite or wrong-length input,
@@ -17,38 +17,15 @@
 import numpy as np
 
 
-def ed2_batch(queries: np.ndarray, data: np.ndarray, *, rows: np.ndarray | None = None,
+def ed2_batch(query: np.ndarray, data: np.ndarray, *, rows: np.ndarray,
               bound2: float = np.inf) -> np.ndarray:
-    """Exact squared ED between every query and every data series.
+    """Squared ED from ``query`` (n,) to ``data[rows]``, ``inf`` where abandoned.
 
-    ``queries`` is (Q, n), ``data`` is (N, n); returns (Q, N) float64.
-    Uses the GEMM identity; negative round-off is clipped to 0 so callers
-    can take square roots safely.
-
-    With ``rows``, ``queries`` is one series (n,) and the result is the
-    (len(rows),) squared ED from it to ``data[rows]``, early-abandoned
-    against ``bound2``: see ``_ed2_abandon``.
-    """
-    if rows is not None:
-        return _ed2_abandon(queries, data, rows, bound2)
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    qq = np.einsum("ij,ij->i", q, q)[:, None]
-    xx = np.einsum("ij,ij->i", x, x)[None, :]
-    d2 = qq + xx - 2.0 * (q @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _ed2_abandon(query: np.ndarray, data: np.ndarray, rows: np.ndarray,
-                 bound2: float) -> np.ndarray:
-    """Squared ED from ``query`` to ``data[rows]``, ``inf`` where abandoned.
-
-    Each row is summed over the column cuts ``[0, n/4)``, ``[n/4, n/2)``
-    and ``[n/2, n)``: float64 differences of only those columns, squared
-    and summed per cut, added to a running sum. After each cut but the
-    last, rows whose running sum exceeds ``bound2`` are dropped and come
-    back as ``inf``.
+    Returns (len(rows),) float64. Each row is summed over the column cuts
+    ``[0, n/4)``, ``[n/4, n/2)`` and ``[n/2, n)``: float64 differences of
+    only those columns, squared and summed per cut, added to a running
+    sum. After each cut but the last, rows whose running sum exceeds
+    ``bound2`` are dropped and come back as ``inf``.
 
     Exactness: rounded addition of non-negative terms never decreases, so
     a dropped row's full distance also exceeds ``bound2``. Every row is

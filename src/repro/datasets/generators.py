@@ -45,10 +45,9 @@ def vector_gaussian(n_series: int, length: int, seed: int = 0) -> np.ndarray:
 
 
 def seismic(n_series: int, length: int, seed: int = 0, *,
-            dominant_freq: float = 0.05, noise: float = 0.15,
-            p_amp: float = 1.0, s_amp: float = 2.0) -> np.ndarray:
-    """Seismogram-like windows: noise floor + P-wave burst + stronger
-    S-wave burst, each an exponentially-decaying oscillation.
+            dominant_freq: float = 0.05, noise: float = 0.15) -> np.ndarray:
+    """Seismogram-like windows: noise floor + P-wave burst (amplitude 1) +
+    S-wave burst (amplitude 2), each an exponentially-decaying oscillation.
 
     ``dominant_freq`` is the burst carrier in cycles/sample. "High
     frequency" in the paper's sense means high *relative to PAA's 16
@@ -66,7 +65,7 @@ def seismic(n_series: int, length: int, seed: int = 0, *,
         x = noise * g.standard_normal(length)
         p_on = g.integers(length // 8, length // 2)
         s_on = g.integers(p_on + length // 8, max(p_on + length // 8 + 1, 3 * length // 4))
-        for onset, amp in ((p_on, p_amp), (s_on, s_amp)):
+        for onset, amp in ((p_on, 1.0), (s_on, 2.0)):
             f = dominant_freq * (0.9 + 0.2 * g.random())  # +-10% carrier jitter
             phase = 2 * np.pi * g.random()
             env = np.exp(-(t - onset) / (length / 4.0)) * (t >= onset)
@@ -92,8 +91,8 @@ def sine_mix(n_series: int, length: int, seed: int = 0, *,
 
 
 def chirp(n_series: int, length: int, seed: int = 0, *,
-          f0: float = 0.01, f1: float = 0.3, noise: float = 0.1) -> np.ndarray:
-    """Linear chirps with random start/end frequency jitter."""
+          f0: float = 0.01, f1: float = 0.3) -> np.ndarray:
+    """Linear chirps with random start/end frequency jitter, noise std 0.1."""
     g = _rng(seed)
     t = np.arange(length, dtype=np.float64) / length
     out = np.empty((n_series, length), dtype=np.float32)
@@ -101,15 +100,14 @@ def chirp(n_series: int, length: int, seed: int = 0, *,
         a = f0 * (0.5 + g.random())
         b = f1 * (0.5 + g.random())
         phase = 2 * np.pi * length * (a * t + 0.5 * (b - a) * t * t)
-        out[i] = np.sin(phase + 2 * np.pi * g.random()) + noise * g.standard_normal(length)
+        out[i] = np.sin(phase + 2 * np.pi * g.random()) + 0.1 * g.standard_normal(length)
     return out
 
 
 def square_wave(n_series: int, length: int, seed: int = 0, *,
-                period_lo: int = 8, period_hi: int = 64,
-                noise: float = 0.15) -> np.ndarray:
-    """Random-period square waves — strongly non-Gaussian value distribution
-    (the paper's Figure 1 bottom pathology for SAX)."""
+                period_lo: int = 8, period_hi: int = 64) -> np.ndarray:
+    """Random-period square waves, noise std 0.15 — strongly non-Gaussian
+    values (the paper's Figure 1 bottom pathology for SAX)."""
     g = _rng(seed)
     t = np.arange(length)
     out = np.empty((n_series, length), dtype=np.float32)
@@ -117,7 +115,7 @@ def square_wave(n_series: int, length: int, seed: int = 0, *,
         period = int(g.integers(period_lo, period_hi))
         phase = int(g.integers(0, period))
         out[i] = np.sign(np.sin(2 * np.pi * (t + phase) / period)) \
-            + noise * g.standard_normal(length)
+            + 0.15 * g.standard_normal(length)
     return out
 
 

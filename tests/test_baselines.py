@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import flat_knn, flat_l2, ucr_knn
-from repro.core.distance import ed2_batch
 from tests.helpers import brute_knn, znormed
 
 
@@ -96,13 +95,13 @@ def test_flat_gemm_runs_over_query_blocks(monkeypatch):
     """No GEMM call of ``flat_knn`` gets more than ``QUERY_BLOCK`` queries,
     and answers over several blocks, the last one partial, equal brute force."""
     gemm_rows = []
+    gemm = flat_l2._gemm_ed2
 
-    def logged(queries, data, **kwargs):
-        if "rows" not in kwargs:
-            gemm_rows.append(len(queries))
-        return ed2_batch(queries, data, **kwargs)
+    def logged(queries, X, xx):
+        gemm_rows.append(len(queries))
+        return gemm(queries, X, xx)
 
-    monkeypatch.setattr(flat_l2, "ed2_batch", logged)
+    monkeypatch.setattr(flat_l2, "_gemm_ed2", logged)
     X = znormed(200, 32, seed=17)
     Q = znormed(2 * flat_l2.QUERY_BLOCK + 5, 32, seed=18)
     res = flat_knn(X, Q, k=3)
@@ -112,3 +111,17 @@ def test_flat_gemm_runs_over_query_blocks(monkeypatch):
         exp = brute_knn(X, q, 3)
         assert [i for _, i in res[qi]] == [i for _, i in exp]
         np.testing.assert_allclose([d for d, _ in res[qi]], [d for d, _ in exp], atol=1e-6)
+
+
+def test_flat_clips_negative_gemm_roundoff():
+    """Copies of rows near 1e6: the GEMM identity's absolute round-off
+    (about eps * 1e14) makes some of their values negative. Clipped to 0,
+    they still shortlist the copies, and every copy comes back at distance
+    0, ties in id order."""
+    g = np.random.default_rng(5)
+    X = np.repeat(1e6 + g.standard_normal((4, 64)), 3, axis=0)
+    for k in (1, 3):
+        res = flat_knn(X, X, k=k)
+        for qi in range(len(X)):
+            first = qi - qi % 3
+            assert res[qi] == [(0.0, first + j) for j in range(k)]

@@ -14,7 +14,7 @@ from tests.helpers import znormed
 X = znormed(40, 32, seed=1)
 Q = znormed(3, 32, seed=2)
 SFA = SFASummary.fit(X, l=8, alphabet=16)
-#: small integers: the GEMM identity gives every equal pair distance 0 exactly
+#: small integers: distinct rows are at least 1 apart, equal rows exactly 0
 INTS = np.random.default_rng(3).integers(-2, 3, (20, 32)).astype(np.float64)
 
 
@@ -30,7 +30,7 @@ def _pairs(s, X, Q):
     qv = s.approx(Q)
     words = s.words(X)
     lbd2 = np.stack([batch_mindist2(v, words, s.edges, s.weights) for v in qv])
-    return lbd2, ed2_batch(Q, X)
+    return lbd2, np.stack([ed2_batch(q, X, rows=np.arange(len(X))) for q in Q])
 
 
 def _tight(s, x, q, slack=1.0):
@@ -81,3 +81,28 @@ def test_tlb_tolerates_float_noise(spark):
     s = _tight(SFA, X[0], Q[0], slack=1.0 + 1e-7)
     res = tlb_spark(spark, X[:1], Q[:1], {"noisy": s}, partitions=1)
     assert res["noisy"] == 1.0
+
+
+def test_tlb_near_duplicates_score_one(spark):
+    """A row and the same row plus 1e-7 noise, bounded by a 2-symbol SFA
+    whose edge is the midpoint of the pair's two approx values, with the
+    weights scaled so that the bound equals the pair's distance. The true
+    distance must be the direct one: the GEMM identity's absolute round-off
+    is up to a few % of a distance this small, so it scored such pairs
+    below 1 or raised "LBD exceeds"."""
+    got = {}
+    for seed in range(20):
+        g = np.random.default_rng(seed)
+        x = g.standard_normal(128)
+        q = x + 1e-7 * g.standard_normal(128)
+        coeffs, imag = np.array([1]), np.array([False])
+        mid = SFASummary(128, coeffs, imag, np.array([[-np.inf, 0.0, np.inf]]),
+                         alphabet=2).approx(np.stack([x, q]))[:, 0].mean()
+        s = SFASummary(128, coeffs, imag, np.array([[-np.inf, mid, np.inf]]), alphabet=2)
+        try:
+            got[seed] = tlb_spark(spark, x[None, :], q[None, :], {"tight": _tight(s, x, q)},
+                                  partitions=1)["tight"]
+        except PythonException as e:
+            got[seed] = str(e).strip().splitlines()[-1]
+    assert {seed: r for seed, r in got.items()
+            if not (isinstance(r, float) and abs(r - 1.0) <= 1e-9)} == {}
